@@ -19,6 +19,7 @@ from __future__ import annotations
 import argparse
 import sys
 
+from .config import DUFLO_CEILING, DUFLO_DEFAULT, effective_limit
 from .errors import InvalidTableauError, TableauxError
 from .orders import (
     Verdict,
@@ -108,8 +109,14 @@ def _cmd_compare(args) -> int:
         poset = duflo_poset(a.n, limit=args.limit_n)
         return poset.leq(a, b)
 
+    # Under --order all, a size beyond the Duflo cap leaves the other
+    # verdicts to answer on their own.
+    duflo_known = args.order == "duflo"
+    if args.order == "all":
+        duflo_cap = effective_limit(args.limit_n, DUFLO_DEFAULT, DUFLO_CEILING)
+        duflo_known = t.n <= duflo_cap
     verdicts: dict[str, Verdict] = {}
-    if args.order in ("duflo", "all"):
+    if duflo_known:
         verdicts["duflo"] = compare(t, s, duflo_leq)
     if args.order in ("chain", "all"):
         verdicts["chain"] = compare(t, s, chain_leq)
@@ -122,25 +129,29 @@ def _cmd_compare(args) -> int:
     if args.order != "all":
         print(verdicts[args.order])
         return 0
-    for name in ("duflo", "chain", "fast"):
-        if name in verdicts:
-            print(f"{name}: {verdicts[name]}")
+    if not duflo_known:
+        print(f"duflo: unavailable (limit {duflo_cap})")
+    for name, v in verdicts.items():
+        print(f"{name}: {v}")
     # The chain order extends the induced weak order, and on two-column
     # tableaux all available orders must agree outright.  A chain relation
     # without a duflo relation on a wide tableau pair is the legitimate
     # proper extension, not a disagreement.
-    d, c = verdicts["duflo"], verdicts["chain"]
+    c = verdicts["chain"]
+    d = verdicts.get("duflo")
     if two_col:
         ok = len(set(verdicts.values())) == 1
     else:
-        ok = d == Verdict.INCOMPARABLE or c == d
+        ok = d in (None, Verdict.INCOMPARABLE, c)
     if not ok:
         print("internal error: orders disagree beyond the proven extension",
               file=sys.stderr)
         return 1
     # The geometric (closure-inclusion) order sits between the two: it is
     # certified exactly when its bounds pin it down.
-    if d == c:
+    if d is None:
+        print("geometric: undetermined (duflo unavailable)")
+    elif d == c:
         print(f"geometric: {d}")
     else:
         print("geometric: undetermined (between duflo and chain)")

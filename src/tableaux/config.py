@@ -32,8 +32,12 @@ def effective_limit(limit: int | None, default: int, ceiling: int = HARD_CEILING
                 limit = int(env)
             except ValueError:
                 raise LimitError(f"{ENV_LIMIT} must be an integer, got {env!r}") from None
+            if limit < 0:
+                raise LimitError(f"{ENV_LIMIT} must be a non-negative integer, got {env!r}")
         else:
             limit = default
+    if limit < 0:
+        raise LimitError(f"a size limit must be non-negative, got {limit}")
     return min(limit, ceiling)
 
 

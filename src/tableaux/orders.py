@@ -1,13 +1,17 @@
 """The order relations at full generality, poset construction, and exports.
 
 Chain order: T is below S when every jeu-de-taquin projection of T has a
-shape dominance-below the matching projection of S.
+shape dominance-below the matching projection of S.  Each tableau's window
+shapes are flattened into one vector of prefix sums, so the chain order is
+a componentwise comparison of vectors; the poset is built bit-sliced, one
+AND of a threshold bitmask per coordinate and node, with no pair loop.
 
 Duflo order: the relation induced on tableaux from the weak right order on
 words through their cells.  The definition forces a closure step: the base
 relation ("some word of the first cell is below some word of the second")
-is not transitive, and from n = 6 on its closure is strictly larger, so a
-poset is built by closing the base relation and verifying antisymmetry.
+is not transitive, and from n = 5 on its closure is strictly larger (175
+against 177 pairs at n = 5, 953 against 987 at n = 6), so a poset is built
+by closing the base relation and verifying antisymmetry.
 
 The base relation is computed from per-word reachability bitsets over the
 cover graph of the weak order (an ascent swap adds exactly one inversion),
@@ -21,7 +25,8 @@ import functools
 import itertools
 import json
 from dataclasses import dataclass, field
-from typing import Callable, Sequence
+from types import MappingProxyType
+from typing import Callable, Mapping, Sequence
 
 from .config import CHAIN_DEFAULT, DUFLO_CEILING, DUFLO_DEFAULT, check_limit
 from .errors import InvalidTableauError, InvalidWordError
@@ -29,7 +34,6 @@ from .rsjdt import all_cells, jdt_remove
 from .tableau import (
     ColumnShape,
     Tableau,
-    dominance_leq,
     enumerate_tableaux,
     row_text,
 )
@@ -63,38 +67,54 @@ def compare(t: Tableau, s: Tableau, leq: Callable[[Tableau, Tableau], bool]) -> 
     return verdict(leq(t, s), leq(s, t), t == s)
 
 
-def _pop_max(cols: list[tuple[int, ...]]) -> None:
-    # The largest entry of a tableau always sits at a corner, so removing it
-    # never slides anything.
-    best = max(range(len(cols)), key=lambda c: cols[c][-1])
-    cols[best] = cols[best][:-1]
-    if not cols[best]:
-        cols.pop(best)
-
-
-@functools.lru_cache(maxsize=None)
-def chain_profile(t: Tableau) -> dict[tuple[int, int], ColumnShape]:
-    """Shapes of all projections onto value windows i..j, 1 <= i < j <= n."""
+def _window_shapes(t: Tableau) -> dict[tuple[int, int], ColumnShape]:
     if not t.is_standard:
         raise InvalidTableauError("chain profiles are defined for standard tableaux")
     n = t.n
     diagrams: dict[tuple[int, int], ColumnShape] = {}
     lower = t
     for i in range(1, n):
-        cols = list(lower.columns)
-        for j in range(n, i, -1):
-            diagrams[(i, j)] = tuple(len(c) for c in cols)
-            _pop_max(cols)
+        # ``lower`` holds i..n with i in the corner; its entries <= j fill a
+        # diagram, grown here one box per j.
+        column_of = {v: c for c, col in enumerate(lower.columns) for v in col}
+        counts = [1] + [0] * (len(lower.columns) - 1)
+        width = 1
+        for j in range(i + 1, n + 1):
+            c = column_of[j]
+            counts[c] += 1
+            width = max(width, c + 1)
+            diagrams[(i, j)] = tuple(counts[:width])
         lower = jdt_remove(lower, [i])
     return diagrams
+
+
+@functools.lru_cache(maxsize=None)
+def chain_profile(t: Tableau) -> Mapping[tuple[int, int], ColumnShape]:
+    """Shapes of all projections onto value windows i..j, 1 <= i < j <= n,
+    as a read-only mapping."""
+    return MappingProxyType(_window_shapes(t))
+
+
+@functools.lru_cache(maxsize=None)
+def _chain_vector(t: Tableau) -> tuple[int, ...]:
+    """Window shapes flattened in sorted window order: for window (i, j),
+    the first j - i prefix sums of its shape, held at the box count past
+    the last column.  The last sum, j - i + 1, is dropped because every
+    tableau shares it.  Dominance on every window is componentwise ``<=``."""
+    shapes = _window_shapes(t)
+    out: list[int] = []
+    for i, j in sorted(shapes):
+        sums = list(itertools.accumulate(shapes[(i, j)]))
+        sums += [j - i + 1] * (j - i - len(sums))
+        out.extend(sums[:j - i])
+    return tuple(out)
 
 
 def chain_leq(t: Tableau, s: Tableau) -> bool:
     """Dominance of every projected shape of t by the matching shape of s."""
     if t.n != s.n:
         raise InvalidTableauError(f"size mismatch: {t.n} vs {s.n}")
-    pt, ps = chain_profile(t), chain_profile(s)
-    return all(dominance_leq(pt[key], ps[key]) for key in pt)
+    return not any(map(int.__gt__, _chain_vector(t), _chain_vector(s)))
 
 
 def root_position_set(w: Word) -> frozenset[tuple[int, int]]:
@@ -327,15 +347,18 @@ def chain_poset(n: int, limit: int | None = None) -> TableauPoset:
 @functools.lru_cache(maxsize=None)
 def _chain_poset(n: int) -> TableauPoset:
     nodes = tuple(enumerate_tableaux(n, limit=max(n, CHAIN_DEFAULT + 1)))
-    profiles = [chain_profile(t) for t in nodes]
-    keys = list(profiles[0]) if profiles else []
-    rows = []
-    for i, pi in enumerate(profiles):
-        bits = 0
-        for j, pj in enumerate(profiles):
-            if all(dominance_leq(pi[key], pj[key]) for key in keys):
-                bits |= 1 << j
-        rows.append(bits)
+    vectors = [_chain_vector(t) for t in nodes]
+    everyone = (1 << len(nodes)) - 1
+    rows = [everyone] * len(nodes)
+    for coord in zip(*vectors):
+        # at_least[v]: the nodes whose value on this coordinate is >= v.
+        at_least = [0] * (max(coord) + 1)
+        for k, v in enumerate(coord):
+            at_least[v] |= 1 << k
+        for v in range(len(at_least) - 1, 0, -1):
+            at_least[v - 1] |= at_least[v]
+        for k, v in enumerate(coord):
+            rows[k] &= at_least[v]
     return TableauPoset(
         kind="chain",
         n=n,

@@ -74,6 +74,34 @@ class TestCompare:
         assert "chain: Less" in out
         assert "geometric: undetermined" in out
 
+    def test_all_beyond_duflo_cap_keeps_chain_and_fast(self, capsys):
+        code, out, _ = run(capsys, "compare", "1 2; 3 4; 5 6; 7 8",
+                           "1 2; 3 4; 5 6; 7; 8")
+        assert code == 0
+        assert out == ("duflo: unavailable (limit 7)\nchain: Less\nfast: Less\n"
+                       "geometric: undetermined (duflo unavailable)\n")
+
+    def test_all_beyond_duflo_cap_wide_pair(self, capsys):
+        code, out, _ = run(capsys, "compare", "1 2 3 4; 5 6 7 8",
+                           "1 2 3 7; 4 8; 5; 6")
+        assert code == 0
+        assert out.splitlines()[:2] == ["duflo: unavailable (limit 7)", "chain: Less"]
+        assert "fast:" not in out
+
+
+class TestLimits:
+    def test_negative_env_limit_rejected(self, capsys, monkeypatch):
+        monkeypatch.setenv("TABLEAUX_LIMIT_N", "-3")
+        code, out, err = run(capsys, "poset", "3", "--kind", "chain")
+        assert code == 2
+        assert out == ""
+        assert "TABLEAUX_LIMIT_N must be a non-negative integer, got '-3'" in err
+
+    def test_negative_flag_limit_rejected(self, capsys):
+        code, _, err = run(capsys, "--limit-n", "-1", "poset", "3", "--kind", "chain")
+        assert code == 2
+        assert "non-negative" in err
+
 
 class TestWord:
     def test_worked_tableau(self, capsys):

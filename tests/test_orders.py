@@ -1,4 +1,5 @@
 import pytest
+from hypothesis import given, strategies as st
 
 from conftest import all_tableaux, all_words, two_column
 from tableaux import (
@@ -11,6 +12,7 @@ from tableaux import (
     chain_profile,
     compare,
     cover_of,
+    dominance_leq,
     duflo_poset,
     hasse_reduce,
     inversion_set,
@@ -18,6 +20,7 @@ from tableaux import (
     project_tableau,
     relabel_tableau,
     root_position_set,
+    rs_tableau,
     subspace_leq,
     tau_tableau,
     weak_leq,
@@ -25,6 +28,29 @@ from tableaux import (
 from tableaux.errors import LimitError
 from tableaux.orders import duflo_base_by_scan
 from tableaux.rsjdt import insert
+from tableaux.verify import coincide_check, extension_check
+
+
+def windowwise_chain_leq(t, s):
+    """The chain order by its definition: dominance_leq on every window."""
+    pt, ps = chain_profile(t), chain_profile(s)
+    return all(dominance_leq(pt[key], ps[key]) for key in pt)
+
+
+@st.composite
+def chain_pairs(draw):
+    """A random tableau of size 10..14, one above it (the insertion tableau
+    of its word after some ascent swaps, so chain-related), and one drawn
+    independently."""
+    n = draw(st.integers(10, 14))
+    word = list(draw(st.permutations(range(1, n + 1))))
+    other = draw(st.permutations(range(1, n + 1)))
+    higher = list(word)
+    for a in draw(st.lists(st.integers(0, n - 2), max_size=12)):
+        if higher[a] < higher[a + 1]:
+            higher[a], higher[a + 1] = higher[a + 1], higher[a]
+    return (rs_tableau(Word(word)), rs_tableau(Word(higher)),
+            rs_tableau(Word(other)))
 
 
 def poset_pairs(poset):
@@ -58,6 +84,15 @@ class TestChainProfile:
             for i in range(1, n):
                 for j in range(i + 1, n + 1):
                     assert profile[(i, j)] == project_tableau(t, i, j).shape
+
+    def test_cached_profile_is_read_only(self):
+        t = make_tableau([(1, 3), (2, 4)])
+        s = make_tableau([(1, 3, 4), (2,)])
+        before = (chain_leq(t, s), chain_leq(s, t))
+        with pytest.raises(TypeError):
+            chain_profile(t)[(1, 4)] = (4,)
+        assert chain_profile(t)[(1, 4)] == (2, 2)
+        assert (chain_leq(t, s), chain_leq(s, t)) == before == (True, False)
 
 
 class TestChainLeq:
@@ -95,6 +130,21 @@ class TestChainLeq:
             for s in all_tableaux(n):
                 if chain_leq(t, s):
                     assert dominance_leq(t.shape, s.shape)
+
+    @given(chain_pairs())
+    def test_matches_windowwise_dominance(self, pair):
+        t, higher, other = pair
+        assert chain_leq(t, higher)
+        for a, b in ((t, higher), (higher, t), (t, other), (other, t)):
+            assert chain_leq(a, b) == windowwise_chain_leq(a, b)
+
+
+class TestChainPoset:
+    @pytest.mark.parametrize("n", range(1, 8))
+    def test_rows_match_windowwise_dominance(self, n):
+        p = chain_poset(n)
+        for t, s, related in poset_pairs(p):
+            assert related == windowwise_chain_leq(t, s)
 
 
 class TestDufloPoset:
@@ -191,6 +241,23 @@ class TestOrderContainments:
                 ps = relabel_tableau(project_tableau(s, i, j))
                 assert smaller[j - i + 1].leq(pt, ps)
             assert bigger.leq(insert(n + 1, t), insert(n + 1, s))
+
+
+class TestVerifySuites:
+    def test_extension_witness_at_6(self):
+        result = extension_check(6)
+        assert result.passed
+        assert result.counterexample == "T=1 2 3; 4 5 6 S=1 2 5; 3 6; 4 order=chain-not-duflo"
+
+    def test_coincide_counterexample_at_6(self):
+        result = coincide_check(6)
+        assert not result.passed
+        assert result.counterexample == "T=1 2 3; 4 5 6 S=1 2 5; 3 6; 4 order=duflo-vs-chain"
+
+    @pytest.mark.parametrize("n", range(1, 6))
+    def test_no_extension_through_5(self, n):
+        assert coincide_check(n).passed
+        assert not extension_check(n).passed
 
 
 class TestRootPositionSets:

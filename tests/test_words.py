@@ -283,3 +283,10 @@ class TestEnumerateWords:
         monkeypatch.setenv("TABLEAUX_LIMIT_N", "many")
         with pytest.raises(LimitError, match="integer"):
             list(enumerate_words(4))
+
+    def test_env_negative_rejected(self, monkeypatch):
+        monkeypatch.setenv("TABLEAUX_LIMIT_N", "-3")
+        with pytest.raises(LimitError, match="non-negative"):
+            list(enumerate_words(2))
+        monkeypatch.setenv("TABLEAUX_LIMIT_N", "0")
+        assert sum(1 for _ in enumerate_words(0)) == 1
