@@ -21,7 +21,6 @@ from .orders import (
     chain_poset,
     chain_profile,
     compare,
-    cover_of,
     duflo_poset,
     hasse_reduce,
     poset_to_dot,
@@ -61,7 +60,6 @@ from .twocol import (
     cover_recursive,
     fast_leq,
     fast_leq_criterion,
-    fast_leq_words,
     move_to_first_column,
     runs,
     two_row_canonical_word,

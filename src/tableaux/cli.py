@@ -34,7 +34,7 @@ from .rsjdt import cell, jdt_remove, project_tableau, rs_tableau
 from .tableau import Tableau
 from .textio import format_tableau, format_word, parse_tableau, parse_word
 from .twocol import canonical_word, cover, fast_leq, two_row_canonical_word
-from .verify import run_suite
+from .verify import SUITES, run_suite
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -85,11 +85,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("verify", help="run a verification suite")
     p.add_argument("n", type=int)
-    p.add_argument(
-        "--suite",
-        choices=["all", "thm311", "cor312", "prop316", "coincide", "extension"],
-        default="all",
-    )
+    p.add_argument("--suite", choices=["all", *SUITES], default="all")
     return parser
 
 

@@ -3,9 +3,11 @@
 Everything in this package is verified by exhaustion over n! words or over
 all tableaux with n boxes, so every enumeration entry point carries a cap.
 Limits can be raised per call (``limit=``), or process-wide through the
-``TABLEAUX_LIMIT_N`` environment variable, but never past ``HARD_CEILING``:
-9! = 362880 words is the edge of desk scale, and the Duflo poset is refused
-above n = 8 because its construction keeps a reachability bitset per word.
+``TABLEAUX_LIMIT_N`` environment variable, but never past ``HARD_CEILING``.
+The n! cost applies to words, cells and the Duflo poset only: 9! = 362880
+words is the edge of desk scale, and the Duflo poset is refused above n = 8
+because its construction keeps a reachability bitset per word.  Tableaux
+are grown directly (2620 at n = 9) and share the ceiling without that cost.
 """
 
 import os

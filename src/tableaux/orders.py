@@ -176,12 +176,13 @@ def hasse_reduce(rows: Sequence[int]) -> list[tuple[int, int]]:
     return edges
 
 
-@dataclass(eq=False)
+@dataclass(frozen=True, eq=False)
 class TableauPoset:
     """A finite poset of same-size tableaux with its Hasse reduction.
 
     ``leq_rows[i]`` has bit j set when node i is below node j.  ``base_rows``
     keeps the pre-closure relation for the Duflo kind (None otherwise).
+    Posets are cached and shared, so they are frozen.
     """
 
     kind: str
@@ -190,10 +191,11 @@ class TableauPoset:
     leq_rows: tuple[int, ...]
     hasse: tuple[tuple[int, int], ...]
     base_rows: tuple[int, ...] | None = None
-    _index: dict[Tableau, int] = field(init=False, repr=False)
+    _index: Mapping[Tableau, int] = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
-        self._index = {t: i for i, t in enumerate(self.nodes)}
+        index = MappingProxyType({t: i for i, t in enumerate(self.nodes)})
+        object.__setattr__(self, "_index", index)
 
     def index_of(self, t: Tableau) -> int:
         try:
@@ -226,10 +228,6 @@ class TableauPoset:
             leq_rows=tuple(rows),
             hasse=tuple(hasse_reduce(rows)),
         )
-
-
-def cover_of(poset: TableauPoset, t: Tableau) -> list[Tableau]:
-    return poset.cover_of(t)
 
 
 def _inversion_count(perm: tuple[int, ...]) -> int:
@@ -279,7 +277,7 @@ def duflo_poset(n: int, limit: int | None = None) -> TableauPoset:
 
 @functools.lru_cache(maxsize=None)
 def _duflo_poset(n: int) -> TableauPoset:
-    nodes = tuple(enumerate_tableaux(n, limit=max(n, DUFLO_CEILING)))
+    nodes = tuple(enumerate_tableaux(n, limit=n))
     node_index = {t: i for i, t in enumerate(nodes)}
     perms, reach = _word_reach_masks(n)
 
@@ -323,7 +321,7 @@ def _duflo_poset(n: int) -> TableauPoset:
 def duflo_base_by_scan(n: int) -> tuple[int, ...]:
     """Direct word-pair scan for the base relation; the slow oracle used to
     check the reachability construction at small n."""
-    nodes = tuple(enumerate_tableaux(n, limit=max(n, DUFLO_CEILING)))
+    nodes = tuple(enumerate_tableaux(n, limit=n))
     node_index = {t: i for i, t in enumerate(nodes)}
     cells = all_cells(n)
     rows = [0] * len(nodes)
@@ -346,7 +344,7 @@ def chain_poset(n: int, limit: int | None = None) -> TableauPoset:
 
 @functools.lru_cache(maxsize=None)
 def _chain_poset(n: int) -> TableauPoset:
-    nodes = tuple(enumerate_tableaux(n, limit=max(n, CHAIN_DEFAULT + 1)))
+    nodes = tuple(enumerate_tableaux(n, limit=n))
     vectors = [_chain_vector(t) for t in nodes]
     everyone = (1 << len(nodes)) - 1
     rows = [everyone] * len(nodes)

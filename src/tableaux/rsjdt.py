@@ -215,15 +215,7 @@ def cell_recursive(t: Tableau) -> list[tuple[int, ...]]:
 def all_cells(n: int) -> dict[Tableau, tuple[Word, ...]]:
     """Words of size n grouped by insertion tableau (lexicographic order)."""
     groups: dict[Tableau, list[Word]] = {}
-    for w in enumerate_words(n, limit=max(n, CELL_DEFAULT)):
+    for w in enumerate_words(n, limit=n):
         groups.setdefault(rs_tableau(w), []).append(w)
     return {t: tuple(ws) for t, ws in groups.items()}
 
-
-@functools.lru_cache(maxsize=None)
-def _rs_images(n: int) -> tuple[Tableau, ...]:
-    # Distinct RS images of all n! words, sorted by row-form serialization.
-    if n == 0:
-        return (Tableau(()),)
-    distinct = {rs_tableau(w) for w in enumerate_words(n, limit=max(n, CELL_DEFAULT))}
-    return tuple(sorted(distinct, key=row_text))

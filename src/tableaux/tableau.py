@@ -11,10 +11,15 @@ distinct positive integers; ``is_standard`` singles out fillings by
 exactly {1..n}.  ``make_tableau`` is the strict public constructor that
 demands standardness, matching the package boundary convention (see
 ``words.relabel_word`` for the word-side counterpart).
+
+The standard tableaux of size n are built directly by corner growth, not
+as RS images of the n! words, so enumerating them costs one step per
+tableau and this module depends on neither ``words`` nor ``rsjdt``.
 """
 
 from __future__ import annotations
 
+import functools
 from typing import Iterable, Iterator, NamedTuple, Sequence
 
 from .config import TABLEAU_ENUM_DEFAULT, check_limit
@@ -199,10 +204,6 @@ def row_text(t: Tableau) -> str:
     return "; ".join(" ".join(map(str, row)) for row in t.rows())
 
 
-def shape_of(t: Tableau) -> ColumnShape:
-    return t.shape
-
-
 def tau_tableau(t: Tableau) -> frozenset[int]:
     """The i such that i+1 sits in a strictly lower row than i."""
     entries = t.entry_set()
@@ -232,7 +233,8 @@ def enumerate_tableaux(
     """All standard tableaux with n boxes, sorted by row-form serialization.
 
     With ``max_columns`` the stream is filtered to tableaux of at most that
-    many columns (``max_columns=2`` gives the two-column family).
+    many columns (``max_columns=2`` gives the two-column family).  The
+    tableaux are grown corner by corner and cached per n.
     """
     check_limit(n, "tableau enumeration", limit, TABLEAU_ENUM_DEFAULT)
     for t in _standard_tableaux(n):
@@ -240,7 +242,19 @@ def enumerate_tableaux(
             yield t
 
 
+@functools.lru_cache(maxsize=None)
 def _standard_tableaux(n: int) -> tuple[Tableau, ...]:
-    from . import rsjdt  # deferred: rsjdt imports this module
-
-    return rsjdt._rs_images(n)
+    # Corner growth: n goes at the foot of every column shorter than its
+    # left neighbour, and into a new last column.
+    if n == 0:
+        return (EMPTY_TABLEAU,)
+    grown = []
+    for t in _standard_tableaux(n - 1):
+        cols = t.columns
+        for c in range(len(cols) + 1):
+            if c == len(cols):
+                grown.append(Tableau(cols + ((n,),), check=False))
+            elif c == 0 or len(cols[c]) < len(cols[c - 1]):
+                grown.append(Tableau(
+                    cols[:c] + (cols[c] + (n,),) + cols[c + 1:], check=False))
+    return tuple(sorted(grown, key=row_text))

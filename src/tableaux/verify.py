@@ -3,8 +3,9 @@ exhaustion, shared between the CLI and the acceptance tests.
 
 Each suite examines a full population (all pairs of two-column tableaux,
 all nodes of a poset, ...) and reports a pass/fail with a counterexample
-when one exists.  ``suites_for`` picks the suites whose claims apply at a
-given size: the coincidence of the two orders holds up to n = 5, and the
+when one exists.  ``SUITES`` records, per suite, the sizes at which its
+claim applies, and ``run_suite(n)`` runs every suite that applies at n:
+the coincidence of the two orders holds up to n = 5, and the
 proper-extension search is meaningful from n = 6 on.
 """
 
@@ -16,7 +17,7 @@ from dataclasses import dataclass, field
 from .errors import LimitError
 from .orders import chain_leq, chain_poset, duflo_poset
 from .tableau import Tableau, enumerate_tableaux, row_text
-from .twocol import canonical_word, cover, cover_recursive, fast_leq_words
+from .twocol import canonical_word, cover, cover_recursive, fast_leq, fast_leq_criterion
 from .words import weak_leq
 
 
@@ -60,7 +61,21 @@ def _pair_label(t: Tableau, s: Tableau, order: str) -> str:
 
 
 def _two_column(n: int) -> list[Tableau]:
-    return list(enumerate_tableaux(n, max_columns=2, limit=max(n, 8)))
+    return list(enumerate_tableaux(n, max_columns=2, limit=n))
+
+
+def _pair_scan(name: str, n: int, nodes, left, right, order: str,
+               start: float) -> CheckResult:
+    """Compare ``left`` and ``right`` on every ordered pair, row-major, up to
+    the first pair on which they disagree."""
+    count = 0
+    for t in nodes:
+        for s in nodes:
+            count += 1
+            if left(t, s) != right(t, s):
+                return CheckResult(name, n, count, False, _pair_label(t, s, order),
+                                   time.perf_counter() - start)
+    return CheckResult(name, n, count, True, None, time.perf_counter() - start)
 
 
 def thm311_check(n: int) -> CheckResult:
@@ -68,18 +83,8 @@ def thm311_check(n: int) -> CheckResult:
     start = time.perf_counter()
     nodes = _two_column(n)
     words = {t: canonical_word(t).word for t in nodes}
-    bad = None
-    count = 0
-    for t in nodes:
-        for s in nodes:
-            count += 1
-            if chain_leq(t, s) != weak_leq(words[t], words[s]):
-                bad = _pair_label(t, s, "chain-vs-word")
-                break
-        if bad:
-            break
-    return CheckResult("thm311", n, count, bad is None, bad,
-                       time.perf_counter() - start)
+    return _pair_scan("thm311", n, nodes, chain_leq,
+                      lambda t, s: weak_leq(words[t], words[s]), "chain-vs-word", start)
 
 
 def cor312_check(n: int) -> CheckResult:
@@ -88,18 +93,15 @@ def cor312_check(n: int) -> CheckResult:
     start = time.perf_counter()
     poset = duflo_poset(n)
     nodes = [t for t in poset.nodes if len(t.columns) <= 2]
-    bad = None
-    count = 0
-    for t in nodes:
-        for s in nodes:
-            count += 1
-            if poset.leq(t, s) != fast_leq_words(t, s):
-                bad = _pair_label(t, s, "duflo-vs-word")
-                break
-        if bad:
-            break
-    return CheckResult("cor312", n, count, bad is None, bad,
-                       time.perf_counter() - start)
+    return _pair_scan("cor312", n, nodes, poset.leq, fast_leq, "duflo-vs-word", start)
+
+
+def criterion_check(n: int) -> CheckResult:
+    """The paper's membership criterion equals the canonical-word
+    comparison on two-column pairs."""
+    start = time.perf_counter()
+    return _pair_scan("criterion", n, _two_column(n), fast_leq_criterion, fast_leq,
+                      "criterion-vs-word", start)
 
 
 def prop316_check(n: int) -> CheckResult:
@@ -163,6 +165,7 @@ SUITES = {
     "prop316": (prop316_check, lambda n: 1 <= n <= 7),
     "coincide": (coincide_check, lambda n: 1 <= n <= 5),
     "extension": (extension_check, lambda n: 6 <= n <= 7),
+    "criterion": (criterion_check, lambda n: 1 <= n <= 8),
 }
 
 

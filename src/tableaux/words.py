@@ -106,10 +106,6 @@ def make_word(entries: Iterable[int]) -> Word:
     return Word(entries)
 
 
-def identity_word(n: int) -> Word:
-    return Word(range(1, n + 1), check=False)
-
-
 def pair_index(i: int, j: int) -> int:
     """Bit position of the value pair (i, j), i < j, in an inversion mask."""
     if not i < j:

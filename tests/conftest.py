@@ -52,8 +52,10 @@ def standard_relabel(entries):
 
 
 def brute_standard_tableaux(n):
-    """Direct recursive generation: place n at every removable corner of a
-    smaller tableau's shape.  Independent of the RS-image enumeration."""
+    """Direct recursive generation: place n at every outer corner of a
+    smaller tableau's shape.  The same algorithm as the package's own
+    enumeration, written out again; the RS-image test in test_tableau.py
+    is the independent check."""
     if n == 0:
         return [Tableau(())]
     out = []

@@ -19,8 +19,8 @@ from tableaux import (
     delete_corner,
     duflo_poset,
     chain_poset,
+    fast_leq,
     fast_leq_criterion,
-    fast_leq_words,
     insert,
     jdt_remove,
     make_tableau,
@@ -122,7 +122,7 @@ class TestCriterion3InducedOrderAgreement:
             1
             for t in nodes
             for s in nodes
-            if poset.leq(t, s) != fast_leq_words(t, s)
+            if poset.leq(t, s) != fast_leq(t, s)
         )
         report(f"criterion-3 cor312 n={n}", bad == 0,
                f"{len(nodes) ** 2} pairs")
@@ -247,7 +247,7 @@ class TestCriterion7StructuralSuites:
             nodes = two_column(n)
             for t in nodes:
                 for s in nodes:
-                    if fast_leq_criterion(t, s) != fast_leq_words(t, s):
+                    if fast_leq_criterion(t, s) != fast_leq(t, s):
                         bad += 1
         report("criterion-7 membership criterion n<=8", bad == 0)
 
@@ -270,8 +270,8 @@ class TestCriterion7StructuralSuites:
                 for s in nodes:
                     if t == s:
                         continue
-                    related = fast_leq_words(t, s)
-                    if t.shape == s.shape and (related or fast_leq_words(s, t)):
+                    related = fast_leq(t, s)
+                    if t.shape == s.shape and (related or fast_leq(s, t)):
                         bad += 1
                     if related and not (
                         set(t.column(1)) < set(s.column(1))

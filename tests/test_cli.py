@@ -228,6 +228,11 @@ class TestVerify:
         assert "thm311" in out and "cor312" in out and "coincide" in out
         assert "extension" not in out
 
+    def test_criterion_5(self, capsys):
+        code, out, _ = run(capsys, "verify", "5", "--suite", "criterion")
+        assert code == 0
+        assert "PASS criterion n=5 population=100" in out
+
     def test_thm311_at_7(self, capsys):
         code, out, _ = run(capsys, "verify", "7", "--suite", "thm311")
         assert code == 0

@@ -1,3 +1,5 @@
+import dataclasses
+
 import pytest
 from hypothesis import given, strategies as st
 
@@ -11,7 +13,6 @@ from tableaux import (
     chain_poset,
     chain_profile,
     compare,
-    cover_of,
     dominance_leq,
     duflo_poset,
     hasse_reduce,
@@ -28,6 +29,7 @@ from tableaux import (
 from tableaux.errors import LimitError
 from tableaux.orders import duflo_base_by_scan
 from tableaux.rsjdt import insert
+from tableaux import verify
 from tableaux.verify import coincide_check, extension_check
 
 
@@ -189,6 +191,16 @@ class TestDufloPoset:
         with pytest.raises(LimitError):
             duflo_poset(9, limit=9)
 
+    def test_cached_poset_is_read_only(self):
+        p = duflo_poset(4)
+        before = p.leq_rows
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            p.leq_rows = (0,) * len(p.nodes)
+        with pytest.raises(TypeError):
+            p._index[p.nodes[0]] = 1
+        assert duflo_poset(4).leq_rows == before
+        assert all(duflo_poset(4).leq(t, t) for t in p.nodes)
+
 
 class TestOrderContainments:
     @pytest.mark.parametrize("n", range(2, 7))
@@ -253,6 +265,12 @@ class TestVerifySuites:
         result = coincide_check(6)
         assert not result.passed
         assert result.counterexample == "T=1 2 3; 4 5 6 S=1 2 5; 3 6; 4 order=duflo-vs-chain"
+
+    def test_criterion_reports_first_counterexample(self, monkeypatch):
+        monkeypatch.setattr(verify, "fast_leq_criterion", lambda t, s: t == s)
+        result = verify.criterion_check(3)
+        assert not result.passed and result.population == 3
+        assert result.counterexample == "T=1 2; 3 S=1; 2; 3 order=criterion-vs-word"
 
     @pytest.mark.parametrize("n", range(1, 6))
     def test_no_extension_through_5(self, n):
@@ -345,12 +363,12 @@ class TestCoverOf:
     def test_maximal_node_empty(self):
         p = duflo_poset(3)
         column = make_tableau([(1, 2, 3)])
-        assert cover_of(p, column) == []
+        assert p.cover_of(column) == []
 
     def test_n2_row_covers_to_column(self):
         p = duflo_poset(2)
         row = make_tableau([(1,), (2,)])
-        assert cover_of(p, row) == [make_tableau([(1, 2)])]
+        assert p.cover_of(row) == [make_tableau([(1, 2)])]
 
     def test_absent_node(self):
         p = duflo_poset(2)

@@ -1,3 +1,6 @@
+import math
+from collections import Counter
+
 import pytest
 from hypothesis import given, strategies as st
 
@@ -11,14 +14,34 @@ from tableaux import (
     corners,
     dominance_leq,
     enumerate_tableaux,
+    enumerate_words,
     make_tableau,
     relabel_tableau,
     row_text,
+    rs_tableau,
     tau_tableau,
 )
 from tableaux.tableau import map_entries, shape_corners, validate_shape
 
 INVOLUTIONS = {1: 1, 2: 2, 3: 4, 4: 10, 5: 26, 6: 76, 7: 232}
+
+
+def partitions_of(n, largest=None):
+    """Weakly decreasing tuples of positive parts summing to n."""
+    if n == 0:
+        return [()]
+    largest = n if largest is None else largest
+    return [(first,) + rest
+            for first in range(min(n, largest), 0, -1)
+            for rest in partitions_of(n - first, first)]
+
+
+def hook_count(shape):
+    """Standard fillings of a diagram by the hook-length formula."""
+    conj = [sum(1 for part in shape if part > k) for k in range(shape[0])]
+    hooks = math.prod(shape[i] - k + conj[k] - i - 1
+                      for i in range(len(shape)) for k in range(shape[i]))
+    return math.factorial(sum(shape)) // hooks
 
 
 def partitions(max_total=10):
@@ -187,6 +210,16 @@ class TestEnumerate:
     @pytest.mark.parametrize("n", range(1, 8))
     def test_matches_direct_recursive_generation(self, n):
         assert set(all_tableaux(n)) == set(brute_standard_tableaux(n))
+
+    @pytest.mark.parametrize("n", range(0, 8))
+    def test_matches_sorted_rs_images(self, n):
+        images = {rs_tableau(w) for w in enumerate_words(n)}
+        assert tuple(enumerate_tableaux(n)) == tuple(sorted(images, key=row_text))
+
+    @pytest.mark.parametrize("n", range(1, 10))
+    def test_shape_counts_match_hook_length_formula(self, n):
+        found = Counter(t.shape for t in enumerate_tableaux(n, limit=9))
+        assert found == {shape: hook_count(shape) for shape in partitions_of(n)}
 
     def test_two_column_filter(self):
         # hook-length counts at n=4: shape (2,2) has 2 fillings, (3,1) has 3,
