@@ -44,7 +44,7 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument(
         "--limit-n", type=int, default=None, metavar="N",
-        help="raise the enumeration caps (hard ceiling 9; Duflo posets stop at 8)",
+        help="raise the enumeration caps (hard ceiling 9)",
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
@@ -215,7 +215,7 @@ def _cmd_poset(args) -> int:
 
 
 def _cmd_verify(args) -> int:
-    report = run_suite(args.n, args.suite)
+    report = run_suite(args.n, args.suite, limit=args.limit_n)
     for line in report.lines():
         print(line)
     return 0 if report.passed else 1

@@ -5,9 +5,9 @@ all tableaux with n boxes, so every enumeration entry point carries a cap.
 Limits can be raised per call (``limit=``), or process-wide through the
 ``TABLEAUX_LIMIT_N`` environment variable, but never past ``HARD_CEILING``.
 The n! cost applies to words, cells and the Duflo poset only: 9! = 362880
-words is the edge of desk scale, and the Duflo poset is refused above n = 8
-because its construction keeps a reachability bitset per word.  Tableaux
-are grown directly (2620 at n = 9) and share the ceiling without that cost.
+words is the edge of desk scale, where the Duflo poset takes seconds.
+Tableaux are grown directly (2620 at n = 9) and share the ceiling without
+that cost.
 """
 
 import os
@@ -21,7 +21,7 @@ WORD_ENUM_DEFAULT = 8
 TABLEAU_ENUM_DEFAULT = 8
 CELL_DEFAULT = 7
 DUFLO_DEFAULT = 7
-DUFLO_CEILING = 8
+DUFLO_CEILING = 9
 CHAIN_DEFAULT = 8
 
 

@@ -13,9 +13,10 @@ is not transitive, and from n = 5 on its closure is strictly larger (175
 against 177 pairs at n = 5, 953 against 987 at n = 6), so a poset is built
 by closing the base relation and verifying antisymmetry.
 
-The base relation is computed from per-word reachability bitsets over the
-cover graph of the weak order (an ascent swap adds exactly one inversion),
-which the tests check against a direct word-pair scan at small n.
+The base relation comes from one sweep over the words, one inversion layer
+at a time from the longest word down, carrying per word the set of
+tableaux whose cells meet its weak-order up-set; the tests check it against
+a direct word-pair scan at small n.
 """
 
 from __future__ import annotations
@@ -30,7 +31,7 @@ from typing import Callable, Mapping, Sequence
 
 from .config import CHAIN_DEFAULT, DUFLO_CEILING, DUFLO_DEFAULT, check_limit
 from .errors import InvalidTableauError, InvalidWordError
-from .rsjdt import all_cells, jdt_remove
+from .rsjdt import _insert_columns, all_cells, jdt_remove
 from .tableau import (
     ColumnShape,
     Tableau,
@@ -230,34 +231,6 @@ class TableauPoset:
         )
 
 
-def _inversion_count(perm: tuple[int, ...]) -> int:
-    return sum(
-        1
-        for a in range(len(perm))
-        for b in range(a + 1, len(perm))
-        if perm[a] > perm[b]
-    )
-
-
-def _word_reach_masks(n: int) -> tuple[list[tuple[int, ...]], list[int]]:
-    """Per-word reachability in the weak order, as bitmasks over the
-    lexicographic word index.  Swapping an ascent adds one inversion, so
-    processing words by decreasing inversion count closes the cover graph."""
-    perms = list(itertools.permutations(range(1, n + 1)))
-    index = {p: k for k, p in enumerate(perms)}
-    reach = [0] * len(perms)
-    order = sorted(range(len(perms)), key=lambda k: -_inversion_count(perms[k]))
-    for k in order:
-        p = perms[k]
-        mask = 1 << k
-        for a in range(n - 1):
-            if p[a] < p[a + 1]:
-                swapped = p[:a] + (p[a + 1], p[a]) + p[a + 2:]
-                mask |= reach[index[swapped]]
-        reach[k] = mask
-    return perms, reach
-
-
 def _closure(rows: list[int]) -> list[int]:
     rows = list(rows)
     for k in range(len(rows)):
@@ -278,42 +251,52 @@ def duflo_poset(n: int, limit: int | None = None) -> TableauPoset:
 @functools.lru_cache(maxsize=None)
 def _duflo_poset(n: int) -> TableauPoset:
     nodes = tuple(enumerate_tableaux(n, limit=n))
-    node_index = {t: i for i, t in enumerate(nodes)}
-    perms, reach = _word_reach_masks(n)
-
-    cell_mask = [0] * len(nodes)
-    reach_mask = [0] * len(nodes)
-    cells = all_cells(n)
-    word_index = {p: k for k, p in enumerate(perms)}
-    for t, ws in cells.items():
-        i = node_index[t]
-        for w in ws:
-            k = word_index[w.entries]
-            cell_mask[i] |= 1 << k
-            reach_mask[i] |= reach[k]
-
-    base = []
-    for i in range(len(nodes)):
-        bits = 0
-        for j in range(len(nodes)):
-            if reach_mask[i] & cell_mask[j]:
-                bits |= 1 << j
-        base.append(bits)
+    index = {t.columns: i for i, t in enumerate(nodes)}
+    base = [0] * len(nodes)
+    # U(w) = {T(w)} plus U(w') for each cover w' of w (one ascent swapped).
+    # Sweeping one inversion layer at a time from the longest word down,
+    # layer[w] gathers those U(w'), and known[w] holds T(w)'s index once a
+    # Knuth move from some w' has fixed it.
+    layer = {tuple(range(n, 0, -1)): 0}
+    known: dict[tuple[int, ...], int] = {}
+    while layer:
+        below: dict[tuple[int, ...], int] = {}
+        for w, up in layer.items():
+            i = known.pop(w, -1)
+            if i < 0:
+                cols: list[tuple[int, ...]] = []
+                for v in reversed(w):
+                    _insert_columns(v, cols)
+                i = index[tuple(cols)]
+            up |= 1 << i
+            base[i] |= up
+            for a in range(n - 1):
+                q, p = w[a], w[a + 1]
+                if q > p:
+                    x = w[:a] + (p, q) + w[a + 2:]
+                    below[x] = below.get(x, 0) | up
+                    # A neighbour valued between p and q makes the swap a
+                    # Knuth move, which keeps the insertion tableau.
+                    if (a > 0 and p < w[a - 1] < q) or (a < n - 2 and p < w[a + 2] < q):
+                        known[x] = i
+        layer = below
 
     rows = _closure(base)
-    for i in range(len(nodes)):
-        for j in range(i + 1, len(nodes)):
-            if rows[i] >> j & 1 and rows[j] >> i & 1:
-                raise RuntimeError(
-                    "antisymmetry violation in the induced order "
-                    f"({row_text(nodes[i])} / {row_text(nodes[j])})"
-                )
+    try:
+        hasse = tuple(hasse_reduce(rows))
+    except InvalidTableauError as exc:
+        # The closure is reflexive and transitive, so only antisymmetry can
+        # fail, and two nodes below each other have the same row.
+        j = next(j for j, row in enumerate(rows) if rows.index(row) != j)
+        i = rows.index(rows[j])
+        raise RuntimeError("antisymmetry violation in the induced order "
+                           f"({row_text(nodes[i])} / {row_text(nodes[j])})") from exc
     return TableauPoset(
         kind="duflo",
         n=n,
         nodes=nodes,
         leq_rows=tuple(rows),
-        hasse=tuple(hasse_reduce(rows)),
+        hasse=hasse,
         base_rows=tuple(base),
     )
 

@@ -18,7 +18,8 @@ from __future__ import annotations
 
 import functools
 from bisect import bisect_left
-from typing import Iterable, NamedTuple, Sequence
+from types import MappingProxyType
+from typing import Iterable, Mapping, NamedTuple, Sequence
 
 from .config import CELL_DEFAULT, check_limit
 from .errors import InvalidTableauError
@@ -212,10 +213,11 @@ def cell_recursive(t: Tableau) -> list[tuple[int, ...]]:
 
 
 @functools.lru_cache(maxsize=None)
-def all_cells(n: int) -> dict[Tableau, tuple[Word, ...]]:
-    """Words of size n grouped by insertion tableau (lexicographic order)."""
+def all_cells(n: int) -> Mapping[Tableau, tuple[Word, ...]]:
+    """Words of size n grouped by insertion tableau (lexicographic order),
+    as a read-only mapping."""
     groups: dict[Tableau, list[Word]] = {}
     for w in enumerate_words(n, limit=n):
         groups.setdefault(rs_tableau(w), []).append(w)
-    return {t: tuple(ws) for t, ws in groups.items()}
+    return MappingProxyType({t: tuple(ws) for t, ws in groups.items()})
 

@@ -83,7 +83,8 @@ def shape_corners(shape: Sequence[int]) -> list[Corner]:
 
 
 class Tableau:
-    """Columns of strictly increasing entries, rows increasing left to right."""
+    """Columns of strictly increasing entries, rows increasing left to right;
+    read-only, since caches share the instances."""
 
     __slots__ = ("columns", "_places")
 
@@ -91,10 +92,13 @@ class Tableau:
         cols = [tuple(c) for c in columns]
         while cols and not cols[-1]:
             cols.pop()
-        self.columns = tuple(cols)
-        self._places: dict[int, tuple[int, int]] | None = None
+        object.__setattr__(self, "columns", tuple(cols))
+        object.__setattr__(self, "_places", None)
         if check:
             self._validate()
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise AttributeError(f"Tableau is read-only: cannot set {name!r}")
 
     def _validate(self) -> None:
         seen: set[int] = set()
@@ -156,11 +160,11 @@ class Tableau:
 
     def _place(self, value: int) -> tuple[int, int]:
         if self._places is None:
-            self._places = {
+            object.__setattr__(self, "_places", {
                 v: (r, c)
                 for c, col in enumerate(self.columns, start=1)
                 for r, v in enumerate(col, start=1)
-            }
+            })
         try:
             return self._places[value]
         except KeyError:

@@ -6,7 +6,8 @@ all nodes of a poset, ...) and reports a pass/fail with a counterexample
 when one exists.  ``SUITES`` records, per suite, the sizes at which its
 claim applies, and ``run_suite(n)`` runs every suite that applies at n:
 the coincidence of the two orders holds up to n = 5, and the
-proper-extension search is meaningful from n = 6 on.
+proper-extension search is meaningful from n = 6 on.  ``run_suite``'s
+``limit`` caps the suites' enumerations and poset builds.
 """
 
 from __future__ import annotations
@@ -60,8 +61,9 @@ def _pair_label(t: Tableau, s: Tableau, order: str) -> str:
     return f"T={row_text(t)} S={row_text(s)} order={order}"
 
 
-def _two_column(n: int) -> list[Tableau]:
-    return list(enumerate_tableaux(n, max_columns=2, limit=n))
+def _two_column(n: int, limit: int | None) -> list[Tableau]:
+    # A small family: without an explicit limit, the hard ceiling caps it.
+    return list(enumerate_tableaux(n, max_columns=2, limit=n if limit is None else limit))
 
 
 def _pair_scan(name: str, n: int, nodes, left, right, order: str,
@@ -78,37 +80,37 @@ def _pair_scan(name: str, n: int, nodes, left, right, order: str,
     return CheckResult(name, n, count, True, None, time.perf_counter() - start)
 
 
-def thm311_check(n: int) -> CheckResult:
+def thm311_check(n: int, limit: int | None = None) -> CheckResult:
     """Chain order equals the canonical-word comparison on two-column pairs."""
     start = time.perf_counter()
-    nodes = _two_column(n)
+    nodes = _two_column(n, limit)
     words = {t: canonical_word(t).word for t in nodes}
     return _pair_scan("thm311", n, nodes, chain_leq,
                       lambda t, s: weak_leq(words[t], words[s]), "chain-vs-word", start)
 
 
-def cor312_check(n: int) -> CheckResult:
+def cor312_check(n: int, limit: int | None = None) -> CheckResult:
     """The induced weak order restricted to two-column nodes equals the
     canonical-word comparison."""
     start = time.perf_counter()
-    poset = duflo_poset(n)
+    poset = duflo_poset(n, limit)
     nodes = [t for t in poset.nodes if len(t.columns) <= 2]
     return _pair_scan("cor312", n, nodes, poset.leq, fast_leq, "duflo-vs-word", start)
 
 
-def criterion_check(n: int) -> CheckResult:
+def criterion_check(n: int, limit: int | None = None) -> CheckResult:
     """The paper's membership criterion equals the canonical-word
     comparison on two-column pairs."""
     start = time.perf_counter()
-    return _pair_scan("criterion", n, _two_column(n), fast_leq_criterion, fast_leq,
+    return _pair_scan("criterion", n, _two_column(n, limit), fast_leq_criterion, fast_leq,
                       "criterion-vs-word", start)
 
 
-def prop316_check(n: int) -> CheckResult:
+def prop316_check(n: int, limit: int | None = None) -> CheckResult:
     """Explicit cover = recursive cover = brute-force poset cover on the
     two-column family."""
     start = time.perf_counter()
-    poset = duflo_poset(n).restrict(lambda t: len(t.columns) <= 2)
+    poset = duflo_poset(n, limit).restrict(lambda t: len(t.columns) <= 2)
     bad = None
     for t in poset.nodes:
         explicit = cover(t)
@@ -130,33 +132,38 @@ def _first_pair(rows: list[int], nodes, order: str) -> str | None:
     return None
 
 
-def _both_posets(n: int):
-    dp = duflo_poset(n)
-    cp = chain_poset(n)
+def _both_posets(n: int, limit: int | None):
+    dp = duflo_poset(n, limit)
+    cp = chain_poset(n, limit)
     if cp.nodes != dp.nodes:
         raise RuntimeError(f"chain and Duflo posets list different nodes at n={n}")
     return dp, cp
 
 
-def coincide_check(n: int) -> CheckResult:
+def coincide_check(n: int, limit: int | None = None) -> CheckResult:
     """The induced weak order and the chain order agree on all tableaux."""
     start = time.perf_counter()
-    dp, cp = _both_posets(n)
+    dp, cp = _both_posets(n, limit)
     diff = [c ^ d for c, d in zip(cp.leq_rows, dp.leq_rows)]
     bad = _first_pair(diff, dp.nodes, "duflo-vs-chain")
     return CheckResult("coincide", n, len(dp.nodes) ** 2, bad is None, bad,
                        time.perf_counter() - start)
 
 
-def extension_check(n: int) -> CheckResult:
-    """There is a pair related in the chain order but not in the induced
-    weak order; the witness pair is reported."""
+def extension_check(n: int, limit: int | None = None) -> CheckResult:
+    """The chain order properly extends the induced weak order: every pair
+    related in the induced order is related in the chain order, and some
+    pair related in the chain order is not.  A pair missing from the chain
+    order is reported as the counterexample, otherwise the witness pair."""
     start = time.perf_counter()
-    dp, cp = _both_posets(n)
-    extra = [c & ~d for c, d in zip(cp.leq_rows, dp.leq_rows)]
-    witness = _first_pair(extra, dp.nodes, "chain-not-duflo")
-    return CheckResult("extension", n, len(dp.nodes) ** 2, witness is not None,
-                       witness, time.perf_counter() - start)
+    dp, cp = _both_posets(n, limit)
+    missing = _first_pair([d & ~c for c, d in zip(cp.leq_rows, dp.leq_rows)],
+                          dp.nodes, "duflo-not-chain")
+    witness = _first_pair([c & ~d for c, d in zip(cp.leq_rows, dp.leq_rows)],
+                          dp.nodes, "chain-not-duflo")
+    return CheckResult("extension", n, len(dp.nodes) ** 2,
+                       missing is None and witness is not None, missing or witness,
+                       time.perf_counter() - start)
 
 
 SUITES = {
@@ -169,7 +176,7 @@ SUITES = {
 }
 
 
-def run_suite(n: int, suite: str = "all") -> VerifyReport:
+def run_suite(n: int, suite: str = "all", limit: int | None = None) -> VerifyReport:
     start = time.perf_counter()
     report = VerifyReport(n=n)
     if suite == "all":
@@ -182,6 +189,6 @@ def run_suite(n: int, suite: str = "all") -> VerifyReport:
         selected = [suite]
     for name in selected:
         check, _ = SUITES[name]
-        report.checks.append(check(n))
+        report.checks.append(check(n, limit))
     report.elapsed = time.perf_counter() - start
     return report

@@ -42,12 +42,15 @@ class Word:
         entries = tuple(entries)
         if check:
             _validate_word(entries)
-        self.entries = entries
         positions = [0] * len(entries)
         for idx, value in enumerate(entries, start=1):
             positions[value - 1] = idx
-        self.positions = tuple(positions)
-        self._inv_mask: int | None = None
+        object.__setattr__(self, "entries", entries)
+        object.__setattr__(self, "positions", tuple(positions))
+        object.__setattr__(self, "_inv_mask", None)
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise AttributeError(f"Word is read-only: cannot set {name!r}")
 
     @property
     def n(self) -> int:
@@ -70,7 +73,7 @@ class Word:
                 for i in range(1, j):
                     if pj < pos[i - 1]:
                         mask |= 1 << (base + i)
-            self._inv_mask = mask
+            object.__setattr__(self, "_inv_mask", mask)
         return self._inv_mask
 
     def __eq__(self, other: object) -> bool:

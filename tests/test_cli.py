@@ -238,6 +238,19 @@ class TestVerify:
         assert code == 0
         assert "PASS thm311 n=7" in out
 
+    def test_limit_n_caps_the_suites(self, capsys):
+        code, _, err = run(capsys, "--limit-n", "6", "verify", "7", "--suite", "cor312")
+        assert code == 2
+        assert "limit 6" in err
+
+    def test_limit_n_raises_the_suites_cap(self, capsys, monkeypatch):
+        monkeypatch.setenv("TABLEAUX_LIMIT_N", "5")
+        code, _, err = run(capsys, "verify", "6", "--suite", "cor312")
+        assert code == 2 and "limit 5" in err
+        code, out, _ = run(capsys, "--limit-n", "6", "verify", "6", "--suite", "cor312")
+        assert code == 0
+        assert "PASS cor312 n=6" in out
+
     def test_unknown_suite_size(self, capsys):
         code, _, err = run(capsys, "verify", "9")
         assert code == 2

@@ -21,6 +21,7 @@ from tableaux import (
     project_tableau,
     relabel_tableau,
     root_position_set,
+    row_text,
     rs_tableau,
     subspace_leq,
     tau_tableau,
@@ -29,7 +30,7 @@ from tableaux import (
 from tableaux.errors import LimitError
 from tableaux.orders import duflo_base_by_scan
 from tableaux.rsjdt import insert
-from tableaux import verify
+from tableaux import orders, verify
 from tableaux.verify import coincide_check, extension_check
 
 
@@ -187,9 +188,27 @@ class TestDufloPoset:
                 if i != j:
                     assert not (rows[i] >> j & 1 and rows[j] >> i & 1)
 
+    @pytest.mark.parametrize("n, base, leq, edges", [(7, 5513, 5865, 640),
+                                                     (8, 35779, 39787, 2498)])
+    def test_pair_and_edge_counts(self, n, base, leq, edges):
+        p = duflo_poset(n, limit=n)
+        assert sum(bin(r).count("1") for r in p.base_rows) == base
+        assert sum(bin(r).count("1") for r in p.leq_rows) == leq
+        assert len(p.hasse) == edges
+
+    def test_cycle_in_induced_order_names_its_tableaux(self, monkeypatch):
+        def cyclic(rows):
+            rows = list(rows)
+            rows[0] = rows[1] = rows[0] | rows[1]
+            return rows
+
+        monkeypatch.setattr(orders, "_closure", cyclic)
+        with pytest.raises(RuntimeError, match=r"induced order \(1 2 3 / 1 2; 3\)"):
+            orders._duflo_poset.__wrapped__(3)
+
     def test_limit(self):
         with pytest.raises(LimitError):
-            duflo_poset(9, limit=9)
+            duflo_poset(10, limit=10)
 
     def test_cached_poset_is_read_only(self):
         p = duflo_poset(4)
@@ -260,6 +279,20 @@ class TestVerifySuites:
         result = extension_check(6)
         assert result.passed
         assert result.counterexample == "T=1 2 3; 4 5 6 S=1 2 5; 3 6; 4 order=chain-not-duflo"
+
+    def test_extension_fails_on_duflo_pair_outside_chain(self, monkeypatch):
+        dp, cp = duflo_poset(6), chain_poset(6)
+        m = len(dp.nodes)
+        i, j = next((i, j) for i in range(m) for j in range(m)
+                    if not cp.leq_rows[i] >> j & 1)
+        rows = list(dp.leq_rows)
+        rows[i] |= 1 << j
+        broken = dataclasses.replace(dp, leq_rows=tuple(rows))
+        monkeypatch.setattr(verify, "duflo_poset", lambda n, limit=None: broken)
+        result = extension_check(6)
+        assert not result.passed
+        assert result.counterexample == (
+            f"T={row_text(dp.nodes[i])} S={row_text(dp.nodes[j])} order=duflo-not-chain")
 
     def test_coincide_counterexample_at_6(self):
         result = coincide_check(6)

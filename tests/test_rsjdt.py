@@ -298,6 +298,12 @@ class TestCells:
             by_recursion = set(cell_recursive(t))
             assert by_filter == by_recursion
 
+    def test_all_cells_is_read_only(self):
+        t = make_tableau([(1, 2), (3,)])
+        with pytest.raises(TypeError):
+            all_cells(3)[t] = ()
+        assert cell(t) == [Word([2, 1, 3]), Word([2, 3, 1])]
+
     def test_limit(self):
         from tableaux.errors import LimitError
 

@@ -239,3 +239,15 @@ class TestEnumerate:
     def test_limit(self):
         with pytest.raises(LimitError):
             list(enumerate_tableaux(9))
+
+    def test_cached_tableaux_are_read_only(self):
+        before = tuple(enumerate_tableaux(3))
+        t = before[0]
+        with pytest.raises(AttributeError):
+            t.columns = ((1, 2, 3),)
+        with pytest.raises(AttributeError):
+            t._places = {}
+        assert t.col_of(3) == 3  # the lazy position cache still fills
+        assert tuple(enumerate_tableaux(3)) == before
+        assert [row_text(s) for s in enumerate_tableaux(3)] == [
+            "1 2 3", "1 2; 3", "1 3; 2", "1; 2; 3"]

@@ -52,6 +52,15 @@ class TestMakeWord:
         w = make_word([2, 5, 1, 4, 3])
         assert [w.position(v) for v in range(1, 6)] == [3, 1, 5, 4, 2]
 
+    def test_read_only(self):
+        w = make_word([2, 1, 3])
+        with pytest.raises(AttributeError):
+            w.entries = (1, 2, 3)
+        with pytest.raises(AttributeError):
+            w.positions = (1, 2, 3)
+        assert w.inversion_mask() == 1  # the lazy mask cache still fills
+        assert w.entries == (2, 1, 3) and w.positions == (2, 1, 3)
+
 
 class TestInversions:
     def test_identity(self):
