@@ -97,8 +97,10 @@ class Tableau:
         if check:
             self._validate()
 
-    def __setattr__(self, name: str, value: object) -> None:
-        raise AttributeError(f"Tableau is read-only: cannot set {name!r}")
+    def __setattr__(self, name: str, value: object = None) -> None:
+        raise AttributeError(f"Tableau is read-only: cannot change {name!r}")
+
+    __delattr__ = __setattr__
 
     def _validate(self) -> None:
         seen: set[int] = set()

@@ -49,8 +49,10 @@ class Word:
         object.__setattr__(self, "positions", tuple(positions))
         object.__setattr__(self, "_inv_mask", None)
 
-    def __setattr__(self, name: str, value: object) -> None:
-        raise AttributeError(f"Word is read-only: cannot set {name!r}")
+    def __setattr__(self, name: str, value: object = None) -> None:
+        raise AttributeError(f"Word is read-only: cannot change {name!r}")
+
+    __delattr__ = __setattr__
 
     @property
     def n(self) -> int:

@@ -1,4 +1,6 @@
 import dataclasses
+import hashlib
+import random
 
 import pytest
 from hypothesis import given, strategies as st
@@ -18,6 +20,7 @@ from tableaux import (
     hasse_reduce,
     inversion_set,
     make_tableau,
+    poset_to_json,
     project_tableau,
     relabel_tableau,
     root_position_set,
@@ -32,6 +35,64 @@ from tableaux.orders import duflo_base_by_scan
 from tableaux.rsjdt import insert
 from tableaux import orders, verify
 from tableaux.verify import coincide_check, extension_check
+
+
+def pair_loop_hasse(rows):
+    """The pair-loop order check and Hasse reduction, kept as an oracle:
+    reflexivity, antisymmetry over every pair, transitivity over every
+    set bit, then each row's covers are its strict bits not below another."""
+    m = len(rows)
+    for i in range(m):
+        if not rows[i] >> i & 1:
+            raise InvalidTableauError(f"relation not reflexive at {i}")
+    for i in range(m):
+        for j in range(i + 1, m):
+            if rows[i] >> j & 1 and rows[j] >> i & 1:
+                raise InvalidTableauError(f"relation not antisymmetric at ({i}, {j})")
+    for i in range(m):
+        for k in range(m):
+            if rows[i] >> k & 1 and rows[k] & ~rows[i]:
+                raise InvalidTableauError(f"relation not transitive at ({i}, {k})")
+    edges = []
+    for i in range(m):
+        strict = rows[i] & ~(1 << i)
+        covered = 0
+        for k in range(m):
+            if strict >> k & 1:
+                covered |= rows[k] & ~(1 << k)
+        edges.extend((i, j) for j in range(m) if (strict & ~covered) >> j & 1)
+    return sorted(edges)
+
+
+def floyd_warshall_closure(rows):
+    """Transitive closure by the k x i loop, kept as an oracle."""
+    rows = list(rows)
+    for k in range(len(rows)):
+        for i in range(len(rows)):
+            if rows[i] >> k & 1:
+                rows[i] |= rows[k]
+    return rows
+
+
+def random_order(rng, m):
+    """A random partial order on m nodes, labels shuffled so that index
+    order is in general not a linear extension."""
+    rows = [1 << i | sum(1 << j for j in range(i + 1, m) if rng.random() < 0.3)
+            for i in range(m)]
+    rows = floyd_warshall_closure(rows)
+    label = list(range(m))
+    rng.shuffle(label)
+    out = [0] * m
+    for i, row in enumerate(rows):
+        out[label[i]] = sum(1 << label[j] for j in range(m) if row >> j & 1)
+    return out
+
+
+def outcome(f, rows):
+    try:
+        return f(rows)
+    except Exception as exc:  # the error class is compared, not raised
+        return type(exc)
 
 
 def windowwise_chain_leq(t, s):
@@ -149,6 +210,13 @@ class TestChainPoset:
         for t, s, related in poset_pairs(p):
             assert related == windowwise_chain_leq(t, s)
 
+    def test_pinned_at_9(self):
+        p = chain_poset(9, limit=9)
+        assert sum(bin(r).count("1") for r in p.leq_rows) == 301573
+        assert len(p.hasse) == 9788
+        digest = hashlib.sha256(poset_to_json(p).encode()).hexdigest()
+        assert digest.startswith("70aae659")
+
 
 class TestDufloPoset:
     def test_n2(self):
@@ -195,6 +263,19 @@ class TestDufloPoset:
         assert sum(bin(r).count("1") for r in p.base_rows) == base
         assert sum(bin(r).count("1") for r in p.leq_rows) == leq
         assert len(p.hasse) == edges
+
+    def test_cyclic_base_names_its_tableaux(self, monkeypatch):
+        closure = orders._closure
+
+        def with_cycle(base):
+            base = list(base)
+            base[0] |= 1 << 1
+            base[1] |= 1 << 0
+            return closure(base)
+
+        monkeypatch.setattr(orders, "_closure", with_cycle)
+        with pytest.raises(RuntimeError, match=r"induced order \(1 2 3 / 1 2; 3\)"):
+            orders._duflo_poset.__wrapped__(3)
 
     def test_cycle_in_induced_order_names_its_tableaux(self, monkeypatch):
         def cyclic(rows):
@@ -376,6 +457,11 @@ class TestHasse:
         with pytest.raises(InvalidTableauError, match="transitive"):
             hasse_reduce((0b011, 0b110, 0b100))
 
+    def test_rejects_cycle_through_three_nodes(self):
+        # Reflexive and without 2-cycles, but not transitive.
+        with pytest.raises(InvalidTableauError, match="transitive"):
+            hasse_reduce((0b011, 0b110, 0b101))
+
     @pytest.mark.parametrize("n", range(2, 7))
     def test_closure_of_hasse_restores_poset(self, n):
         for poset in (duflo_poset(n), chain_poset(n)):
@@ -383,13 +469,56 @@ class TestHasse:
             rows = [1 << i for i in range(m)]
             for a, b in poset.hasse:
                 rows[a] |= 1 << b
-            # transitive closure
-            for k in range(m):
-                bit = 1 << k
-                for i in range(m):
-                    if rows[i] & bit:
-                        rows[i] |= rows[k]
-            assert tuple(rows) == poset.leq_rows
+            assert tuple(floyd_warshall_closure(rows)) == poset.leq_rows
+
+
+class TestFinishingLayerOracles:
+    """``hasse_reduce`` and ``_closure`` against the pair-loop check and
+    reduction and the Floyd-Warshall closure, on seeded random relations."""
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_shuffled_partial_orders(self, seed):
+        rng = random.Random(seed)
+        for _ in range(100):
+            rows = random_order(rng, rng.randrange(0, 14))
+            assert hasse_reduce(rows) == pair_loop_hasse(rows)
+            assert orders._closure(rows) == rows
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_single_bit_corruptions(self, seed):
+        rng = random.Random(100 + seed)
+        raised = 0
+        for _ in range(150):
+            rows = random_order(rng, rng.randrange(1, 14))
+            m = len(rows)
+            rows[rng.randrange(m)] ^= 1 << rng.randrange(m)
+            expected = outcome(pair_loop_hasse, rows)
+            assert outcome(hasse_reduce, rows) == expected
+            raised += expected is InvalidTableauError
+            assert orders._closure(rows) == floyd_warshall_closure(rows)
+        assert raised > 50
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_cycles(self, seed):
+        rng = random.Random(200 + seed)
+        for _ in range(100):
+            m = rng.randrange(2, 14)
+            rows = random_order(rng, m)
+            cycle = rng.sample(range(m), rng.randrange(2, m + 1))
+            for a, b in zip(cycle, cycle[1:] + cycle[:1]):
+                rows[a] |= 1 << b
+            closed = orders._closure(rows)
+            assert closed == floyd_warshall_closure(rows)
+            for relation in (rows, closed):
+                assert outcome(hasse_reduce, relation) is InvalidTableauError
+                assert outcome(pair_loop_hasse, relation) is InvalidTableauError
+
+    @pytest.mark.parametrize("n", range(1, 8))
+    def test_posets_match_oracles(self, n):
+        dp, cp = duflo_poset(n), chain_poset(n)
+        assert tuple(floyd_warshall_closure(dp.base_rows)) == dp.leq_rows
+        for poset in (dp, cp):
+            assert list(poset.hasse) == pair_loop_hasse(poset.leq_rows)
 
 
 class TestCoverOf:

@@ -247,6 +247,8 @@ class TestEnumerate:
             t.columns = ((1, 2, 3),)
         with pytest.raises(AttributeError):
             t._places = {}
+        with pytest.raises(AttributeError):
+            del t.columns
         assert t.col_of(3) == 3  # the lazy position cache still fills
         assert tuple(enumerate_tableaux(3)) == before
         assert [row_text(s) for s in enumerate_tableaux(3)] == [

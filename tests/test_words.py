@@ -58,6 +58,8 @@ class TestMakeWord:
             w.entries = (1, 2, 3)
         with pytest.raises(AttributeError):
             w.positions = (1, 2, 3)
+        with pytest.raises(AttributeError):
+            del w.entries
         assert w.inversion_mask() == 1  # the lazy mask cache still fills
         assert w.entries == (2, 1, 3) and w.positions == (2, 1, 3)
 
