@@ -25,8 +25,6 @@ from .orders import (
     hasse_reduce,
     poset_to_dot,
     poset_to_json,
-    root_position_set,
-    subspace_leq,
 )
 from .rsjdt import (
     cell,
@@ -57,9 +55,7 @@ from .twocol import (
     DeletionTrace,
     canonical_word,
     cover,
-    cover_recursive,
     fast_leq,
-    fast_leq_criterion,
     move_to_first_column,
     runs,
     two_row_canonical_word,
@@ -72,7 +68,6 @@ from .words import (
     colligate,
     enumerate_words,
     inversion_set,
-    make_word,
     project_word,
     relabel_word,
     remove_value,

@@ -159,8 +159,6 @@ def _cmd_word(args) -> int:
     cols = len(t.columns)
     rows = len(t.columns[0]) if t.columns else 0
     if args.rows:
-        if rows > 2:
-            raise InvalidTableauError(f"more than two rows: shape {t.shape}")
         w = two_row_canonical_word(t)
     elif cols <= 2:
         w = canonical_word(t).word

@@ -10,11 +10,13 @@ Duflo order: the relation induced on tableaux from the weak right order on
 words through their cells.  The base relation ("some word of the first cell
 is below some word of the second") comes from one sweep over the words, one
 inversion layer at a time from the longest word down, carrying per word the
-tableaux whose cells meet its weak-order up-set (checked against a word-pair
-scan at small n).  It is not transitive from n = 5 on (175 against 177 pairs
-at n = 5, 953 against 987 at n = 6), so up-set sweeps close it.  Both posets
-are checked and Hasse-reduced through a linear extension, one bitset
-operation per cover.
+tableaux whose cells meet its weak-order up-set.  It is not transitive from
+n = 5 on (175 against 177 pairs at n = 5, 953 against 987 at n = 6), so
+up-set sweeps close it.  Both posets are checked and Hasse-reduced through a
+linear extension, one bitset operation per cover.
+
+The word-pair scan of the base relation and the subspace form of the weak
+order are independent routes; they live in ``verify`` and the tests.
 """
 
 from __future__ import annotations
@@ -28,15 +30,9 @@ from types import MappingProxyType
 from typing import Callable, Mapping, Sequence
 
 from .config import CHAIN_DEFAULT, DUFLO_CEILING, DUFLO_DEFAULT, check_limit
-from .errors import InvalidTableauError, InvalidWordError
+from .errors import InvalidTableauError
 from .rsjdt import _insert_columns, _slide_out, all_cells
-from .tableau import (
-    ColumnShape,
-    Tableau,
-    enumerate_tableaux,
-    row_text,
-)
-from .words import Word
+from .tableau import ColumnShape, Tableau, enumerate_tableaux, row_text
 
 
 class Verdict(enum.Enum):
@@ -49,21 +45,18 @@ class Verdict(enum.Enum):
         return self.value
 
 
-def verdict(leq_ab: bool, leq_ba: bool, identical: bool) -> Verdict:
-    """Fold two boolean comparisons into a 4-way verdict."""
-    if identical:
+def compare(t: Tableau, s: Tableau, leq: Callable[[Tableau, Tableau], bool]) -> Verdict:
+    """Fold the comparisons of t with s and of s with t into a 4-way verdict."""
+    below, above = leq(t, s), leq(s, t)
+    if t == s:
         return Verdict.EQUAL
-    if leq_ab and leq_ba:
+    if below and above:
         raise RuntimeError("antisymmetry violation: distinct elements below each other")
-    if leq_ab:
+    if below:
         return Verdict.LESS
-    if leq_ba:
+    if above:
         return Verdict.GREATER
     return Verdict.INCOMPARABLE
-
-
-def compare(t: Tableau, s: Tableau, leq: Callable[[Tableau, Tableau], bool]) -> Verdict:
-    return verdict(leq(t, s), leq(s, t), t == s)
 
 
 def _window_shapes(t: Tableau) -> dict[tuple[int, int], ColumnShape]:
@@ -116,25 +109,6 @@ def chain_leq(t: Tableau, s: Tableau) -> bool:
     return not any(map(int.__gt__, _chain_vector(t), _chain_vector(s)))
 
 
-def root_position_set(w: Word) -> frozenset[tuple[int, int]]:
-    """Pairs (i, j), i < j, with i placed before j; the complement of the
-    inversion set.  Encodes which upper-triangular root spaces survive."""
-    pos = w.positions
-    return frozenset(
-        (i, j)
-        for j in range(2, w.n + 1)
-        for i in range(1, j)
-        if pos[i - 1] < pos[j - 1]
-    )
-
-
-def subspace_leq(w: Word, y: Word) -> bool:
-    """Containment of generating subspaces; equivalent to the weak order."""
-    if w.n != y.n:
-        raise InvalidWordError(f"size mismatch: {w.n} vs {y.n}")
-    return root_position_set(y) <= root_position_set(w)
-
-
 def hasse_reduce(rows: Sequence[int]) -> list[tuple[int, int]]:
     """Transitive reduction of a finite partial order given as row bitmasks,
     checked on the way.  In a linear extension (decreasing up-set size, ties
@@ -149,6 +123,8 @@ def hasse_reduce(rows: Sequence[int]) -> list[tuple[int, int]]:
     edges: list[tuple[int, int]] = []
     for i in range(m - 1, -1, -1):
         a, rest, row = order[i], rows[order[i]], 0
+        if rest >> m:
+            raise InvalidTableauError(f"relation row {a} names a node beyond the {m} rows")
         while rest:
             k = rest.bit_length() - 1
             row |= 1 << where[k]
@@ -295,24 +271,6 @@ def _duflo_poset(n: int) -> TableauPoset:
         hasse=hasse,
         base_rows=tuple(base),
     )
-
-
-def duflo_base_by_scan(n: int) -> tuple[int, ...]:
-    """Direct word-pair scan for the base relation; the slow oracle used to
-    check the reachability construction at small n."""
-    nodes = tuple(enumerate_tableaux(n, limit=n))
-    node_index = {t: i for i, t in enumerate(nodes)}
-    cells = all_cells(n)
-    rows = [0] * len(nodes)
-    from .words import weak_leq
-
-    for t, ws in cells.items():
-        i = node_index[t]
-        for s, ys in cells.items():
-            j = node_index[s]
-            if any(weak_leq(w, y) for w in ws for y in ys):
-                rows[i] |= 1 << j
-    return tuple(rows)
 
 
 def chain_poset(n: int, limit: int | None = None) -> TableauPoset:

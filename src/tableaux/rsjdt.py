@@ -12,6 +12,9 @@ window complements (the removals the projection machinery uses), and sets
 are processed in ascending order as the canonical choice.  All operations
 accept tableaux on arbitrary alphabets; results on sub-alphabets are
 intentionally left unrelabeled.
+
+Cells come from one RS pass over all words of a size (``all_cells``); the
+corner-decomposition route that re-derives them lives in ``verify``.
 """
 
 from __future__ import annotations
@@ -23,7 +26,7 @@ from typing import Iterable, Mapping, NamedTuple, Sequence
 
 from .config import CELL_DEFAULT, check_limit
 from .errors import InvalidTableauError
-from .tableau import Tableau, corners, row_text
+from .tableau import Tableau, row_text
 from .words import Word, WordLike, enumerate_words
 
 
@@ -81,13 +84,22 @@ def insert(j: int, t: Tableau) -> Tableau:
     return Tableau(cols)
 
 
+def _letters(w: Word | WordLike) -> tuple[int, ...]:
+    # A Word is a permutation already; a plain sequence must not repeat a letter.
+    if isinstance(w, Word):
+        return w.entries
+    entries = tuple(w)
+    if len(set(entries)) != len(entries):
+        raise InvalidTableauError(f"letters must be distinct: {entries}")
+    return entries
+
+
 def rs_steps(w: Word | WordLike) -> list[Tableau]:
     """The intermediate tableaux of the RS procedure, built by insertions
     from the left: the first holds the last letter alone, the last is T(w)."""
-    entries = w.entries if isinstance(w, Word) else tuple(w)
     steps: list[Tableau] = []
     cols: list[tuple[int, ...]] = []
-    for value in reversed(entries):
+    for value in reversed(_letters(w)):
         _insert_columns(value, cols)
         steps.append(Tableau(cols, check=False))
     return steps
@@ -99,14 +111,8 @@ def rs_tableau(w: Word | WordLike) -> Tableau:
     >>> row_text(rs_tableau(Word([2, 5, 1, 4, 3])))
     '1 3; 2 4; 5'
     """
-    if isinstance(w, Word):
-        entries = w.entries
-    else:
-        entries = tuple(w)
-        if len(set(entries)) != len(entries):
-            raise InvalidTableauError(f"letters must be distinct: {entries}")
     cols: list[tuple[int, ...]] = []
-    for value in reversed(entries):
+    for value in reversed(_letters(w)):
         _insert_columns(value, cols)
     return Tableau(cols, check=False)
 
@@ -197,19 +203,6 @@ def cell(t: Tableau, limit: int | None = None) -> list[Word]:
         raise InvalidTableauError("cells are enumerated for standard tableaux")
     check_limit(t.n, "cell enumeration", limit, CELL_DEFAULT)
     return list(all_cells(t.n).get(t, ()))
-
-
-def cell_recursive(t: Tableau) -> list[tuple[int, ...]]:
-    """Cell enumeration by the corner decomposition: every word of the cell
-    starts with a pushed-out corner value, followed by a word of the smaller
-    cell.  Independent of the word-filtering route; used as its oracle."""
-    if t.n == 0:
-        return [()]
-    out: list[tuple[int, ...]] = []
-    for corner in corners(t):
-        smaller, first = delete_corner(t, corner.col)
-        out.extend((first,) + rest for rest in cell_recursive(smaller))
-    return out
 
 
 @functools.lru_cache(maxsize=None)

@@ -12,8 +12,9 @@ same comparison without the second word:
     column of T, and every second-column entry x of S pushes out (at the
     deletion step of x in S's trace) a value lying in T's first column.
 
-``fast_leq_criterion`` implements it as an oracle; the ``criterion``
-verification suite checks it against ``fast_leq`` by exhaustion.
+The criterion and the recursive description of the cover are independent
+routes, kept in ``verify`` beside the suites (``criterion``, ``prop316``)
+that check this module against them by exhaustion.
 
 On this family, the chain order and the induced weak order coincide, and
 the cover of a tableau is given explicitly: move the top of a maximal run
@@ -32,13 +33,8 @@ from types import MappingProxyType
 from typing import Mapping, NamedTuple
 
 from .errors import InvalidTableauError
-from .rsjdt import delete_corner, insert, project_tableau
-from .tableau import (
-    Tableau,
-    map_entries,
-    relabel_tableau,
-    row_text,
-)
+from .rsjdt import delete_corner, project_tableau
+from .tableau import Tableau, row_text
 from .words import Word, reverse, weak_leq
 
 
@@ -123,21 +119,6 @@ def fast_leq(t: Tableau, s: Tableau) -> bool:
     return weak_leq(canonical_word(t).word, canonical_word(s).word)
 
 
-def fast_leq_criterion(t: Tableau, s: Tableau) -> bool:
-    """The paper's membership criterion, equivalent to ``fast_leq`` but
-    needing only s's deletion trace and t's column sets; kept as the
-    oracle of the ``criterion`` verification suite."""
-    if t.n != s.n:
-        raise InvalidTableauError(f"size mismatch: {t.n} vs {s.n}")
-    _require_two_columns(t)
-    s_trace = canonical_word(s).trace
-    t2 = set(t.column(2))
-    if not set(s.column(2)) <= t2:
-        return False
-    t1 = set(t.column(1))
-    return all(pushed in t1 for _, pushed in s_trace.second_column.values())
-
-
 def runs(t: Tableau) -> list[tuple[int, int]]:
     """Maximal consecutive runs of the second column's entries, ascending,
     as (start, extra) pairs covering {start, ..., start + extra}."""
@@ -175,36 +156,6 @@ def cover(t: Tableau) -> list[Tableau]:
         if project_tableau(t, 1, x) == snapshot:
             out.append(move_to_first_column(t, x))
     return sorted(out, key=row_text)
-
-
-def cover_recursive(t: Tableau) -> list[Tableau]:
-    """The same cover by the recursive description; kept as an independent
-    implementation for cross-checking."""
-    _require_two_columns(t)
-    return sorted(_cover_rec(t), key=row_text)
-
-
-def _cover_rec(t: Tableau) -> set[Tableau]:
-    n = t.n
-    if n <= 1:
-        return set()
-    if t.col_of(n) == 1:
-        # n sits at the bottom of column 1, so restriction just drops it.
-        inner = Tableau((t.column(1)[:-1], t.column(2)), check=False)
-        return {insert(n, s) for s in _cover_rec(inner)}
-    omega1 = t.bottom(1)
-    core = Tableau(
-        (t.column(1)[:-1], tuple(v for v in t.column(2) if v != n)),
-        check=False,
-    )
-    alphabet = sorted(core.entry_set())
-    back = {k: v for k, v in enumerate(alphabet, start=1)}
-    found = {
-        insert(omega1, insert(n, map_entries(s, back)))
-        for s in _cover_rec(relabel_tableau(core))
-    }
-    found.add(move_to_first_column(t, n))
-    return found
 
 
 def two_row_canonical_word(s: Tableau) -> Word:

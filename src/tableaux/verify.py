@@ -1,5 +1,6 @@
 """Verification suites reproducing the package's headline claims by
-exhaustion, shared between the CLI and the acceptance tests.
+exhaustion, shared between the CLI and the acceptance tests, and the
+independent routes they check production against.
 
 Each suite examines a full population (all pairs of two-column tableaux,
 all nodes of a poset, ...) and reports a pass/fail with a counterexample
@@ -8,6 +9,13 @@ claim applies, and ``run_suite(n)`` runs every suite that applies at n:
 the coincidence of the two orders holds up to n = 5, and the
 proper-extension search is meaningful from n = 6 on.  ``run_suite``'s
 ``limit`` caps the suites' enumerations and poset builds.
+
+The independent routes re-derive a production result another way: cells
+by corner decomposition, the two-column cover by recursion, the paper's
+membership criterion, the Duflo base relation by a word-pair scan, and the
+weak order as containment of root subspaces.  Only the suites and the
+tests call them: no module of the package but the CLI and the package
+root imports this one.
 """
 
 from __future__ import annotations
@@ -15,11 +23,12 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass, field
 
-from .errors import LimitError
+from .errors import InvalidTableauError, InvalidWordError, LimitError
 from .orders import chain_leq, chain_poset, duflo_poset
-from .tableau import Tableau, enumerate_tableaux, row_text
-from .twocol import canonical_word, cover, cover_recursive, fast_leq, fast_leq_criterion
-from .words import weak_leq
+from .rsjdt import all_cells, delete_corner, insert
+from .tableau import Tableau, corners, enumerate_tableaux, map_entries, relabel_tableau, row_text
+from .twocol import _require_two_columns, canonical_word, cover, fast_leq, move_to_first_column
+from .words import Word, weak_leq
 
 
 @dataclass
@@ -78,6 +87,98 @@ def _pair_scan(name: str, n: int, nodes, left, right, order: str,
                 return CheckResult(name, n, count, False, _pair_label(t, s, order),
                                    time.perf_counter() - start)
     return CheckResult(name, n, count, True, None, time.perf_counter() - start)
+
+
+def cell_recursive(t: Tableau) -> list[tuple[int, ...]]:
+    """Cell enumeration by the corner decomposition: every word of the cell
+    starts with a pushed-out corner value, followed by a word of the smaller
+    cell.  Independent of the word-filtering route ``cell``."""
+    if t.n == 0:
+        return [()]
+    out: list[tuple[int, ...]] = []
+    for corner in corners(t):
+        smaller, first = delete_corner(t, corner.col)
+        out.extend((first,) + rest for rest in cell_recursive(smaller))
+    return out
+
+
+def cover_recursive(t: Tableau) -> list[Tableau]:
+    """The two-column cover by the recursive description, independent of
+    the explicit run-top description ``cover``."""
+    _require_two_columns(t)
+    return sorted(_cover_rec(t), key=row_text)
+
+
+def _cover_rec(t: Tableau) -> set[Tableau]:
+    n = t.n
+    if n <= 1:
+        return set()
+    if t.col_of(n) == 1:
+        # n sits at the bottom of column 1, so restriction just drops it.
+        inner = Tableau((t.column(1)[:-1], t.column(2)), check=False)
+        return {insert(n, s) for s in _cover_rec(inner)}
+    omega1 = t.bottom(1)
+    core = Tableau(
+        (t.column(1)[:-1], tuple(v for v in t.column(2) if v != n)),
+        check=False,
+    )
+    alphabet = sorted(core.entry_set())
+    back = {k: v for k, v in enumerate(alphabet, start=1)}
+    found = {
+        insert(omega1, insert(n, map_entries(s, back)))
+        for s in _cover_rec(relabel_tableau(core))
+    }
+    found.add(move_to_first_column(t, n))
+    return found
+
+
+def fast_leq_criterion(t: Tableau, s: Tableau) -> bool:
+    """The paper's membership criterion (see ``twocol``), equivalent to
+    ``fast_leq`` but needing only s's deletion trace and t's column sets."""
+    if t.n != s.n:
+        raise InvalidTableauError(f"size mismatch: {t.n} vs {s.n}")
+    _require_two_columns(t)
+    s_trace = canonical_word(s).trace
+    t2 = set(t.column(2))
+    if not set(s.column(2)) <= t2:
+        return False
+    t1 = set(t.column(1))
+    return all(pushed in t1 for _, pushed in s_trace.second_column.values())
+
+
+def duflo_base_by_scan(n: int) -> tuple[int, ...]:
+    """The Duflo base relation by a direct word-pair scan over the cells,
+    independent of the layered sweep in ``duflo_poset``."""
+    nodes = tuple(enumerate_tableaux(n, limit=n))
+    node_index = {t: i for i, t in enumerate(nodes)}
+    cells = all_cells(n)
+    rows = [0] * len(nodes)
+    for t, ws in cells.items():
+        i = node_index[t]
+        for s, ys in cells.items():
+            j = node_index[s]
+            if any(weak_leq(w, y) for w in ws for y in ys):
+                rows[i] |= 1 << j
+    return tuple(rows)
+
+
+def root_position_set(w: Word) -> frozenset[tuple[int, int]]:
+    """Pairs (i, j), i < j, with i placed before j; the complement of the
+    inversion set.  Encodes which upper-triangular root spaces survive."""
+    pos = w.positions
+    return frozenset(
+        (i, j)
+        for j in range(2, w.n + 1)
+        for i in range(1, j)
+        if pos[i - 1] < pos[j - 1]
+    )
+
+
+def subspace_leq(w: Word, y: Word) -> bool:
+    """Containment of generating subspaces; equivalent to the weak order."""
+    if w.n != y.n:
+        raise InvalidWordError(f"size mismatch: {w.n} vs {y.n}")
+    return root_position_set(y) <= root_position_set(w)
 
 
 def thm311_check(n: int, limit: int | None = None) -> CheckResult:

@@ -106,11 +106,6 @@ def _validate_word(entries: tuple[int, ...]) -> None:
         raise InvalidWordError(f"entries do not cover 1..{n}: {sorted(seen)}")
 
 
-def make_word(entries: Iterable[int]) -> Word:
-    """Validated construction of a :class:`Word`."""
-    return Word(entries)
-
-
 def pair_index(i: int, j: int) -> int:
     """Bit position of the value pair (i, j), i < j, in an inversion mask."""
     if not i < j:

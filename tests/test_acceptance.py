@@ -15,12 +15,10 @@ from tableaux import (
     canonical_word,
     chain_leq,
     cover,
-    cover_recursive,
     delete_corner,
     duflo_poset,
     chain_poset,
     fast_leq,
-    fast_leq_criterion,
     insert,
     jdt_remove,
     make_tableau,
@@ -38,6 +36,7 @@ from tableaux import (
 )
 from tableaux.orders import _chain_poset, _duflo_poset
 from tableaux.rsjdt import all_cells
+from tableaux.verify import cover_recursive, fast_leq_criterion
 from tableaux.tableau import corners
 
 

@@ -119,6 +119,11 @@ class TestWord:
         assert code == 0
         assert out.startswith("[") and code == 0
 
+    def test_two_row_variant_rejects_three_rows(self, capsys):
+        code, _, err = run(capsys, "word", "1 2; 3; 4", "--rows")
+        assert code == 2
+        assert "more than two rows" in err
+
     def test_wide_shape_rejected(self, capsys):
         # three columns and three rows
         code, _, err = run(capsys, "word", "1 4 7; 2 5 8; 3 6 9")

@@ -23,18 +23,21 @@ from tableaux import (
     poset_to_json,
     project_tableau,
     relabel_tableau,
-    root_position_set,
     row_text,
     rs_tableau,
-    subspace_leq,
     tau_tableau,
     weak_leq,
 )
 from tableaux.errors import LimitError
-from tableaux.orders import duflo_base_by_scan
 from tableaux.rsjdt import insert
 from tableaux import orders, verify
-from tableaux.verify import coincide_check, extension_check
+from tableaux.verify import (
+    coincide_check,
+    duflo_base_by_scan,
+    extension_check,
+    root_position_set,
+    subspace_leq,
+)
 
 
 def pair_loop_hasse(rows):
@@ -456,6 +459,10 @@ class TestHasse:
             hasse_reduce((0b11, 0b11))
         with pytest.raises(InvalidTableauError, match="transitive"):
             hasse_reduce((0b011, 0b110, 0b100))
+        with pytest.raises(InvalidTableauError, match="beyond"):
+            hasse_reduce((0b101,))
+        with pytest.raises(InvalidTableauError, match="beyond"):
+            hasse_reduce((0b01, 0b110))
 
     def test_rejects_cycle_through_three_nodes(self):
         # Reflexive and without 2-cycles, but not transitive.

@@ -25,7 +25,8 @@ from tableaux import (
     tau_word,
     weak_leq,
 )
-from tableaux.rsjdt import all_cells, cell_recursive
+from tableaux.rsjdt import all_cells
+from tableaux.verify import cell_recursive
 
 
 class TestColumnInsertion:
@@ -95,6 +96,11 @@ class TestRS:
 
     def test_worked_final(self):
         assert row_text(rs_tableau(Word([2, 5, 1, 4, 3]))) == "1 3; 2 4; 5"
+
+    @pytest.mark.parametrize("rs", [rs_steps, rs_tableau])
+    def test_repeated_letter_rejected(self, rs):
+        with pytest.raises(InvalidTableauError, match="distinct"):
+            rs([1, 1])
 
     @pytest.mark.parametrize("n", range(1, 8))
     def test_identity_gives_single_row(self, n):

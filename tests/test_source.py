@@ -11,6 +11,10 @@ import tableaux
 SOURCES = sorted(Path(tableaux.__file__).parent.glob("*.py"))
 
 
+def parsed_sources():
+    return [(path.name, ast.parse(path.read_text(), filename=str(path))) for path in SOURCES]
+
+
 def test_sources_found():
     assert len(SOURCES) > 1
 
@@ -18,12 +22,47 @@ def test_sources_found():
 def test_no_assert_statements():
     # Cross-checks must raise on their own: ``python -O`` strips ``assert``.
     found = [
-        f"{path.name}:{node.lineno}"
-        for path in SOURCES
-        for node in ast.walk(ast.parse(path.read_text(), filename=str(path)))
+        f"{name}:{node.lineno}"
+        for name, tree in parsed_sources()
+        for node in ast.walk(tree)
         if isinstance(node, ast.Assert)
     ]
     assert found == []
+
+
+ORACLES = {"cell_recursive", "cover_recursive", "_cover_rec", "fast_leq_criterion",
+           "duflo_base_by_scan", "subspace_leq", "root_position_set"}
+
+
+def test_oracles_defined_only_in_verify():
+    # The independent routes re-derive production results; they live beside
+    # the suites that run them, never in a production module.
+    found = {
+        (name, node.name)
+        for name, tree in parsed_sources()
+        for node in ast.walk(tree)
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)) and node.name in ORACLES
+    }
+    assert found == {("verify.py", oracle) for oracle in ORACLES}
+
+
+def imported_modules(tree):
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            yield from (alias.name for alias in node.names)
+        elif isinstance(node, ast.ImportFrom):
+            module = node.module or ""
+            yield module
+            yield from (f"{module}.{alias.name}".lstrip(".") for alias in node.names)
+
+
+def test_only_front_ends_import_verify():
+    importers = {
+        name
+        for name, tree in parsed_sources()
+        if {"verify", "tableaux.verify"} & set(imported_modules(tree))
+    }
+    assert importers == {"cli.py", "__init__.py"}
 
 
 def run_python(*args):
@@ -48,7 +87,7 @@ def test_optimized_mode_still_rejects_non_orders():
     code = ("import sys\n"
             "from tableaux import InvalidTableauError, hasse_reduce\n"
             "assert False, 'asserts run'\n"
-            "for rows in ((0b10, 0b10), (0b11, 0b11), (0b011, 0b110, 0b100)):\n"
+            "for rows in ((0b10, 0b10), (0b11, 0b11), (0b011, 0b110, 0b100), (0b101,)):\n"
             "    try:\n"
             "        hasse_reduce(rows)\n"
             "    except InvalidTableauError:\n"

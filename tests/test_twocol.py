@@ -8,15 +8,12 @@ from tableaux import (
     canonical_word,
     chain_leq,
     cover,
-    cover_recursive,
     delete_corner,
     duflo_poset,
     fast_leq,
-    fast_leq_criterion,
     make_tableau,
     move_to_first_column,
     relabel_tableau,
-    root_position_set,
     row_text,
     rs_tableau,
     runs,
@@ -25,6 +22,7 @@ from tableaux import (
     weak_leq,
 )
 from tableaux.rsjdt import all_cells
+from tableaux.verify import cover_recursive, fast_leq_criterion, root_position_set
 
 WORKED_T = [(1, 2, 4, 7), (3, 5, 6)]
 

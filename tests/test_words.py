@@ -11,7 +11,6 @@ from tableaux import (
     colligate,
     enumerate_words,
     inversion_set,
-    make_word,
     project_word,
     relabel_word,
     remove_value,
@@ -28,32 +27,34 @@ def words(max_n=8):
 
 
 class TestMakeWord:
+    """Validated construction: ``Word(entries)``."""
+
     def test_worked_word(self):
-        w = make_word([2, 5, 1, 4, 3])
+        w = Word([2, 5, 1, 4, 3])
         assert w.n == 5
         assert w.entries == (2, 5, 1, 4, 3)
 
     def test_singleton(self):
-        assert make_word([1]).n == 1
+        assert Word([1]).n == 1
 
     def test_duplicate(self):
         with pytest.raises(InvalidWordError, match="duplicate"):
-            make_word([1, 1, 2])
+            Word([1, 1, 2])
 
     def test_not_covering(self):
         with pytest.raises(InvalidWordError, match="cover"):
-            make_word([1, 3])
+            Word([1, 3])
 
     def test_empty(self):
         with pytest.raises(InvalidWordError, match="empty"):
-            make_word([])
+            Word([])
 
     def test_positions(self):
-        w = make_word([2, 5, 1, 4, 3])
+        w = Word([2, 5, 1, 4, 3])
         assert [w.position(v) for v in range(1, 6)] == [3, 1, 5, 4, 2]
 
     def test_read_only(self):
-        w = make_word([2, 1, 3])
+        w = Word([2, 1, 3])
         with pytest.raises(AttributeError):
             w.entries = (1, 2, 3)
         with pytest.raises(AttributeError):
