@@ -1,13 +1,14 @@
 """Size limits for the exhaustive enumerations.
 
 Everything in this package is verified by exhaustion over n! words or over
-all tableaux with n boxes, so every enumeration entry point carries a cap.
-Limits can be raised per call (``limit=``), or process-wide through the
-``TABLEAUX_LIMIT_N`` environment variable, but never past ``HARD_CEILING``.
-The n! cost applies to words, cells and the Duflo poset only: 9! = 362880
-words is the edge of desk scale, where the Duflo poset takes seconds.
-Tableaux are grown directly (2620 at n = 9) and share the ceiling without
-that cost.
+all tableaux with n boxes, so every enumeration entry point carries a cap:
+two defaults, one ceiling.  Limits can be raised per call (``limit=``), or
+process-wide through the ``TABLEAUX_LIMIT_N`` environment variable, but
+never past ``HARD_CEILING``.  Word and tableau enumeration and the chain
+poset default to ``ENUM_DEFAULT``; cells and the Duflo poset, which pay for
+n! words, default to ``CELL_DEFAULT``.  9! = 362880 words is the edge of
+desk scale, where the Duflo poset takes seconds.  Tableaux are grown
+directly (2620 at n = 9) and share the ceiling without that cost.
 """
 
 import os
@@ -17,36 +18,30 @@ from .errors import LimitError
 ENV_LIMIT = "TABLEAUX_LIMIT_N"
 
 HARD_CEILING = 9
-WORD_ENUM_DEFAULT = 8
-TABLEAU_ENUM_DEFAULT = 8
+ENUM_DEFAULT = 8
 CELL_DEFAULT = 7
-DUFLO_DEFAULT = 7
-DUFLO_CEILING = 9
-CHAIN_DEFAULT = 8
 
 
-def effective_limit(limit: int | None, default: int, ceiling: int = HARD_CEILING) -> int:
+def effective_limit(limit: int | None, default: int) -> int:
     """Resolve a size cap from the explicit argument, the environment, or the default."""
     if limit is None:
         env = os.environ.get(ENV_LIMIT)
-        if env is not None:
-            try:
-                limit = int(env)
-            except ValueError:
-                raise LimitError(f"{ENV_LIMIT} must be an integer, got {env!r}") from None
-            if limit < 0:
-                raise LimitError(f"{ENV_LIMIT} must be a non-negative integer, got {env!r}")
-        else:
-            limit = default
+        if env is None:
+            return default
+        try:
+            limit = int(env)
+        except ValueError:
+            raise LimitError(f"{ENV_LIMIT} must be an integer, got {env!r}") from None
+        if limit < 0:
+            raise LimitError(f"{ENV_LIMIT} must be a non-negative integer, got {env!r}")
     if limit < 0:
         raise LimitError(f"a size limit must be non-negative, got {limit}")
-    return min(limit, ceiling)
+    return min(limit, HARD_CEILING)
 
 
-def check_limit(n: int, what: str, limit: int | None, default: int,
-                ceiling: int = HARD_CEILING) -> None:
+def check_limit(n: int, what: str, limit: int | None, default: int) -> None:
     """Raise LimitError when ``n`` exceeds the resolved cap for ``what``."""
-    cap = effective_limit(limit, default, ceiling)
+    cap = effective_limit(limit, default)
     if n > cap:
         raise LimitError(f"{what} at n={n} exceeds the limit {cap}")
     if n < 0:

@@ -29,9 +29,9 @@ from dataclasses import dataclass, field
 from types import MappingProxyType
 from typing import Callable, Mapping, Sequence
 
-from .config import CHAIN_DEFAULT, DUFLO_CEILING, DUFLO_DEFAULT, check_limit
+from .config import CELL_DEFAULT, ENUM_DEFAULT, check_limit
 from .errors import InvalidTableauError
-from .rsjdt import _insert_columns, _slide_out, all_cells
+from .rsjdt import _insert_columns, _slide_out
 from .tableau import ColumnShape, Tableau, enumerate_tableaux, row_text
 
 
@@ -217,7 +217,7 @@ def _closure(rows: list[int]) -> list[int]:
 
 def duflo_poset(n: int, limit: int | None = None) -> TableauPoset:
     """The induced weak-order poset on all standard tableaux of size n."""
-    check_limit(n, "Duflo poset", limit, DUFLO_DEFAULT, ceiling=DUFLO_CEILING)
+    check_limit(n, "Duflo poset", limit, CELL_DEFAULT)
     return _duflo_poset(n)
 
 
@@ -275,7 +275,7 @@ def _duflo_poset(n: int) -> TableauPoset:
 
 def chain_poset(n: int, limit: int | None = None) -> TableauPoset:
     """The chain-order poset on all standard tableaux of size n."""
-    check_limit(n, "chain poset", limit, CHAIN_DEFAULT)
+    check_limit(n, "chain poset", limit, ENUM_DEFAULT)
     return _chain_poset(n)
 
 

@@ -22,7 +22,7 @@ from __future__ import annotations
 import functools
 from typing import Iterable, Iterator, NamedTuple, Sequence
 
-from .config import TABLEAU_ENUM_DEFAULT, check_limit
+from .config import ENUM_DEFAULT, check_limit
 from .errors import InvalidTableauError
 
 ColumnShape = tuple[int, ...]
@@ -86,14 +86,13 @@ class Tableau:
     """Columns of strictly increasing entries, rows increasing left to right;
     read-only, since caches share the instances."""
 
-    __slots__ = ("columns", "_places")
+    __slots__ = ("columns",)
 
     def __init__(self, columns: Iterable[Iterable[int]], check: bool = True):
         cols = [tuple(c) for c in columns]
         while cols and not cols[-1]:
             cols.pop()
         object.__setattr__(self, "columns", tuple(cols))
-        object.__setattr__(self, "_places", None)
         if check:
             self._validate()
 
@@ -161,16 +160,10 @@ class Tableau:
         return col[-1]
 
     def _place(self, value: int) -> tuple[int, int]:
-        if self._places is None:
-            object.__setattr__(self, "_places", {
-                v: (r, c)
-                for c, col in enumerate(self.columns, start=1)
-                for r, v in enumerate(col, start=1)
-            })
-        try:
-            return self._places[value]
-        except KeyError:
-            raise InvalidTableauError(f"entry {value} absent") from None
+        for c, col in enumerate(self.columns, start=1):
+            if value in col:
+                return col.index(value) + 1, c
+        raise InvalidTableauError(f"entry {value} absent")
 
     def row_of(self, value: int) -> int:
         return self._place(value)[0]
@@ -242,7 +235,7 @@ def enumerate_tableaux(
     many columns (``max_columns=2`` gives the two-column family).  The
     tableaux are grown corner by corner and cached per n.
     """
-    check_limit(n, "tableau enumeration", limit, TABLEAU_ENUM_DEFAULT)
+    check_limit(n, "tableau enumeration", limit, ENUM_DEFAULT)
     for t in _standard_tableaux(n):
         if max_columns is None or len(t.columns) <= max_columns:
             yield t

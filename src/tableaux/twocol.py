@@ -94,8 +94,8 @@ def canonical_word(t: Tableau) -> CanonicalWord:
     current = t
     emitted: list[int] = []
     for i in range(n, 0, -1):
-        z = max(current.bottom(c) for c in range(1, len(current.columns) + 1))
-        col = current.col_of(z)
+        col = max(range(1, len(current.columns) + 1), key=current.bottom)
+        z = current.bottom(col)
         smaller, a = delete_corner(current, col)
         if col == 2:
             second[z] = (current, a)

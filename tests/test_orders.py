@@ -213,6 +213,10 @@ class TestChainPoset:
         for t, s, related in poset_pairs(p):
             assert related == windowwise_chain_leq(t, s)
 
+    def test_default_limit(self):
+        with pytest.raises(LimitError, match=r"^chain poset at n=9 exceeds the limit 8$"):
+            chain_poset(9)
+
     def test_pinned_at_9(self):
         p = chain_poset(9, limit=9)
         assert sum(bin(r).count("1") for r in p.leq_rows) == 301573
@@ -293,6 +297,8 @@ class TestDufloPoset:
     def test_limit(self):
         with pytest.raises(LimitError):
             duflo_poset(10, limit=10)
+        with pytest.raises(LimitError, match=r"^Duflo poset at n=8 exceeds the limit 7$"):
+            duflo_poset(8)
 
     def test_cached_poset_is_read_only(self):
         p = duflo_poset(4)

@@ -314,7 +314,8 @@ class TestCells:
         from tableaux.errors import LimitError
 
         big = rs_tableau(Word(range(8, 0, -1)))
-        with pytest.raises(LimitError):
+        with pytest.raises(LimitError,
+                           match=r"^cell enumeration at n=8 exceeds the limit 7$"):
             cell(big)
         assert cell(big, limit=8) == [Word(range(8, 0, -1))]
 

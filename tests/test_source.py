@@ -1,7 +1,10 @@
 """Guards on the package source itself."""
 
 import ast
+import doctest
+import importlib
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -63,6 +66,37 @@ def test_only_front_ends_import_verify():
         if {"verify", "tableaux.verify"} & set(imported_modules(tree))
     }
     assert importers == {"cli.py", "__init__.py"}
+
+
+def test_every_import_is_used():
+    # A name a module imports must occur elsewhere in it; doctests count.
+    # ``__init__`` imports are re-exports.
+    unused = []
+    for path in SOURCES:
+        if path.name == "__init__.py":
+            continue
+        text = path.read_text()
+        lines = text.splitlines()
+        for node in ast.walk(ast.parse(text)):
+            if not isinstance(node, (ast.Import, ast.ImportFrom)):
+                continue
+            rest = "\n".join(lines[:node.lineno - 1] + lines[node.end_lineno:])
+            for alias in node.names:
+                name = alias.asname or alias.name.split(".")[0]
+                if name != "annotations" and not re.search(rf"\b{name}\b", rest):
+                    unused.append(f"{path.stem}.{name}")
+    assert unused == []
+
+
+def test_doctests_pass():
+    failed = attempted = 0
+    for path in SOURCES:
+        name = "tableaux" if path.stem == "__init__" else f"tableaux.{path.stem}"
+        result = doctest.testmod(importlib.import_module(name))
+        failed += result.failed
+        attempted += result.attempted
+    assert failed == 0
+    assert attempted >= 7
 
 
 def run_python(*args):

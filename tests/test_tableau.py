@@ -155,6 +155,25 @@ class TestTau:
         assert tau_tableau(make_tableau([tuple(range(1, 6))])) == {1, 2, 3, 4}
 
 
+class TestPlace:
+    @pytest.mark.parametrize("n", range(7))
+    def test_row_and_column_of_every_entry(self, n):
+        for t in all_tableaux(n):
+            for r, row in enumerate(t.rows(), start=1):
+                for v in row:
+                    assert t.row_of(v) == r
+            for c, col in enumerate(t.columns, start=1):
+                for v in col:
+                    assert t.col_of(v) == c
+
+    def test_absent_entry(self):
+        t = make_tableau([(1, 2, 5), (3, 4)])
+        with pytest.raises(InvalidTableauError, match="entry 99 absent"):
+            t.row_of(99)
+        with pytest.raises(InvalidTableauError, match="entry 99 absent"):
+            t.col_of(99)
+
+
 class TestTranspose:
     def test_worked_tableau(self):
         t = make_tableau([(1, 2, 5), (3, 4)])
@@ -237,7 +256,8 @@ class TestEnumerate:
         assert texts == sorted(texts)
 
     def test_limit(self):
-        with pytest.raises(LimitError):
+        with pytest.raises(LimitError,
+                           match=r"^tableau enumeration at n=9 exceeds the limit 8$"):
             list(enumerate_tableaux(9))
 
     def test_cached_tableaux_are_read_only(self):
@@ -249,7 +269,7 @@ class TestEnumerate:
             t._places = {}
         with pytest.raises(AttributeError):
             del t.columns
-        assert t.col_of(3) == 3  # the lazy position cache still fills
+        assert t.col_of(3) == 3  # lookups leave the shared instance as it was
         assert tuple(enumerate_tableaux(3)) == before
         assert [row_text(s) for s in enumerate_tableaux(3)] == [
             "1 2 3", "1 2; 3", "1 3; 2", "1; 2; 3"]
