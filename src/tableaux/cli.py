@@ -237,7 +237,7 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return _COMMANDS[args.command](args)
-    except TableauxError as exc:
+    except (TableauxError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

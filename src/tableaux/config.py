@@ -5,10 +5,10 @@ all tableaux with n boxes, so every enumeration entry point carries a cap:
 two defaults, one ceiling.  Limits can be raised per call (``limit=``), or
 process-wide through the ``TABLEAUX_LIMIT_N`` environment variable, but
 never past ``HARD_CEILING``.  Word and tableau enumeration and the chain
-poset default to ``ENUM_DEFAULT``; cells and the Duflo poset, which pay for
-n! words, default to ``CELL_DEFAULT``.  9! = 362880 words is the edge of
-desk scale, where the Duflo poset takes seconds.  Tableaux are grown
-directly (2620 at n = 9) and share the ceiling without that cost.
+poset default to ``ENUM_DEFAULT``; cells and the Duflo poset default to
+``CELL_DEFAULT``.  Of these builds only the Duflo poset pays for n! words;
+9! = 362880 is the edge of desk scale, where it takes seconds.  Tableaux (2620 at
+n = 9) and cells are built corner by corner at the cost of their size.
 """
 
 import os

@@ -13,21 +13,20 @@ are processed in ascending order as the canonical choice.  All operations
 accept tableaux on arbitrary alphabets; results on sub-alphabets are
 intentionally left unrelabeled.
 
-Cells come from one RS pass over all words of a size (``all_cells``); the
-corner-decomposition route that re-derives them lives in ``verify``.
+A cell (the words with a given insertion tableau) is built by corner
+decomposition at the cost of its own size, never by a pass over n! words.
 """
 
 from __future__ import annotations
 
-import functools
 from bisect import bisect_left
 from types import MappingProxyType
 from typing import Iterable, Mapping, NamedTuple, Sequence
 
 from .config import CELL_DEFAULT, check_limit
 from .errors import InvalidTableauError
-from .tableau import Tableau, row_text
-from .words import Word, WordLike, enumerate_words
+from .tableau import Tableau, corners, enumerate_tableaux, row_text
+from .words import Word, WordLike
 
 
 class ColumnInsertion(NamedTuple):
@@ -202,15 +201,22 @@ def cell(t: Tableau, limit: int | None = None) -> list[Word]:
     if not t.is_standard:
         raise InvalidTableauError("cells are enumerated for standard tableaux")
     check_limit(t.n, "cell enumeration", limit, CELL_DEFAULT)
-    return list(all_cells(t.n).get(t, ()))
+    return [Word(w, check=False) for w in sorted(_cell_words(t))]
 
 
-@functools.lru_cache(maxsize=None)
+def _cell_words(t: Tableau) -> list[tuple[int, ...]]:
+    # Corner decomposition: T(w) is the insertion of w's first letter into
+    # T(rest), so deleting each corner in turn yields every first letter.
+    if t.n == 0:
+        return [()]
+    out: list[tuple[int, ...]] = []
+    for corner in corners(t):
+        smaller, first = delete_corner(t, corner.col)
+        out.extend((first,) + rest for rest in _cell_words(smaller))
+    return out
+
+
 def all_cells(n: int) -> Mapping[Tableau, tuple[Word, ...]]:
     """Words of size n grouped by insertion tableau (lexicographic order),
     as a read-only mapping."""
-    groups: dict[Tableau, list[Word]] = {}
-    for w in enumerate_words(n, limit=n):
-        groups.setdefault(rs_tableau(w), []).append(w)
-    return MappingProxyType({t: tuple(ws) for t, ws in groups.items()})
-
+    return MappingProxyType({t: tuple(cell(t, limit=n)) for t in enumerate_tableaux(n, limit=n)})

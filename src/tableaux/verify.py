@@ -4,18 +4,17 @@ independent routes they check production against.
 
 Each suite examines a full population (all pairs of two-column tableaux,
 all nodes of a poset, ...) and reports a pass/fail with a counterexample
-when one exists.  ``SUITES`` records, per suite, the sizes at which its
-claim applies, and ``run_suite(n)`` runs every suite that applies at n:
-the coincidence of the two orders holds up to n = 5, and the
-proper-extension search is meaningful from n = 6 on.  ``run_suite``'s
-``limit`` caps the suites' enumerations and poset builds.
+when one exists.  ``SUITES`` records, per suite, the sizes its claim
+covers (the orders coincide up to n = 5; a proper extension is sought
+from n = 6 on) and the default cap of what it builds; ``run_suite(n)``
+runs every suite whose claim covers n and whose cap, resolved from
+``limit``, admits n.  ``limit`` also caps the suites' builds.
 
-The independent routes re-derive a production result another way: cells
-by corner decomposition, the two-column cover by recursion, the paper's
-membership criterion, the Duflo base relation by a word-pair scan, and the
-weak order as containment of root subspaces.  Only the suites and the
-tests call them: no module of the package but the CLI and the package
-root imports this one.
+The independent routes re-derive a production result another way: the
+two-column cover by recursion, the paper's membership criterion, the Duflo
+base relation by a word-pair scan, and the weak order as containment of
+root subspaces.  Only the suites and the tests call them: no module of the
+package but the CLI and the package root imports this one.
 """
 
 from __future__ import annotations
@@ -23,10 +22,11 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass, field
 
+from .config import CELL_DEFAULT, ENUM_DEFAULT, effective_limit
 from .errors import InvalidTableauError, InvalidWordError, LimitError
 from .orders import chain_leq, chain_poset, duflo_poset
-from .rsjdt import all_cells, delete_corner, insert
-from .tableau import Tableau, corners, enumerate_tableaux, map_entries, relabel_tableau, row_text
+from .rsjdt import all_cells, insert
+from .tableau import Tableau, enumerate_tableaux, map_entries, relabel_tableau, row_text
 from .twocol import _require_two_columns, canonical_word, cover, fast_leq, move_to_first_column
 from .words import Word, weak_leq
 
@@ -87,19 +87,6 @@ def _pair_scan(name: str, n: int, nodes, left, right, order: str,
                 return CheckResult(name, n, count, False, _pair_label(t, s, order),
                                    time.perf_counter() - start)
     return CheckResult(name, n, count, True, None, time.perf_counter() - start)
-
-
-def cell_recursive(t: Tableau) -> list[tuple[int, ...]]:
-    """Cell enumeration by the corner decomposition: every word of the cell
-    starts with a pushed-out corner value, followed by a word of the smaller
-    cell.  Independent of the word-filtering route ``cell``."""
-    if t.n == 0:
-        return [()]
-    out: list[tuple[int, ...]] = []
-    for corner in corners(t):
-        smaller, first = delete_corner(t, corner.col)
-        out.extend((first,) + rest for rest in cell_recursive(smaller))
-    return out
 
 
 def cover_recursive(t: Tableau) -> list[Tableau]:
@@ -267,13 +254,14 @@ def extension_check(n: int, limit: int | None = None) -> CheckResult:
                        time.perf_counter() - start)
 
 
+# name -> (check, (first, last or None) size its claim covers, default cap)
 SUITES = {
-    "thm311": (thm311_check, lambda n: 1 <= n <= 8),
-    "cor312": (cor312_check, lambda n: 1 <= n <= 7),
-    "prop316": (prop316_check, lambda n: 1 <= n <= 7),
-    "coincide": (coincide_check, lambda n: 1 <= n <= 5),
-    "extension": (extension_check, lambda n: 6 <= n <= 7),
-    "criterion": (criterion_check, lambda n: 1 <= n <= 8),
+    "thm311": (thm311_check, (1, None), ENUM_DEFAULT),
+    "cor312": (cor312_check, (1, None), CELL_DEFAULT),
+    "prop316": (prop316_check, (1, None), CELL_DEFAULT),
+    "coincide": (coincide_check, (1, 5), CELL_DEFAULT),
+    "extension": (extension_check, (6, None), CELL_DEFAULT),
+    "criterion": (criterion_check, (1, None), ENUM_DEFAULT),
 }
 
 
@@ -281,7 +269,8 @@ def run_suite(n: int, suite: str = "all", limit: int | None = None) -> VerifyRep
     start = time.perf_counter()
     report = VerifyReport(n=n)
     if suite == "all":
-        selected = [name for name, (_, applies) in SUITES.items() if applies(n)]
+        selected = [name for name, (_, (first, last), default) in SUITES.items()
+                    if first <= n <= (last or n) and n <= effective_limit(limit, default)]
         if not selected:
             raise LimitError(f"no verification suite applies at n={n}")
     else:
@@ -289,7 +278,6 @@ def run_suite(n: int, suite: str = "all", limit: int | None = None) -> VerifyRep
             raise LimitError(f"unknown suite {suite!r}")
         selected = [suite]
     for name in selected:
-        check, _ = SUITES[name]
-        report.checks.append(check(n, limit))
+        report.checks.append(SUITES[name][0](n, limit))
     report.elapsed = time.perf_counter() - start
     return report

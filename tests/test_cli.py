@@ -209,6 +209,14 @@ class TestPoset:
         assert out == ""
         assert json.loads(target.read_text())["n"] == 2
 
+    def test_output_into_missing_directory(self, capsys, tmp_path):
+        target = tmp_path / "missing" / "poset.json"
+        code, out, err = run(capsys, "poset", "2", "--format", "json",
+                             "--output", str(target))
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: ") and "missing" in err
+
     def test_limit(self, capsys):
         code, _, err = run(capsys, "poset", "9", "--kind", "duflo")
         assert code == 2
@@ -255,6 +263,17 @@ class TestVerify:
         code, out, _ = run(capsys, "--limit-n", "6", "verify", "6", "--suite", "cor312")
         assert code == 0
         assert "PASS cor312 n=6" in out
+
+    def test_limit_n_widens_the_default_selection(self, capsys):
+        code, out, _ = run(capsys, "--limit-n", "8", "verify", "8")
+        assert code == 0
+        assert [line.split()[1] for line in out.splitlines() if line.startswith("PASS")] == [
+            "thm311", "cor312", "prop316", "extension", "criterion"]
+
+    def test_limit_n_below_n_selects_nothing(self, capsys):
+        code, _, err = run(capsys, "--limit-n", "6", "verify", "7")
+        assert code == 2
+        assert "no verification suite applies at n=7" in err
 
     def test_unknown_suite_size(self, capsys):
         code, _, err = run(capsys, "verify", "9")

@@ -11,6 +11,7 @@ from tableaux import (
     cell,
     corners,
     delete_corner,
+    enumerate_tableaux,
     insert,
     insert_into_column,
     jdt_remove,
@@ -26,7 +27,6 @@ from tableaux import (
     weak_leq,
 )
 from tableaux.rsjdt import all_cells
-from tableaux.verify import cell_recursive
 
 
 class TestColumnInsertion:
@@ -299,10 +299,27 @@ class TestCells:
 
     @pytest.mark.parametrize("n", range(1, 7))
     def test_recursive_decomposition(self, n):
+        # The corner decomposition against the RS filter over all words.
+        words = all_words(n)
         for t in all_tableaux(n):
-            by_filter = {w.entries for w in cell(t)}
-            by_recursion = set(cell_recursive(t))
-            assert by_filter == by_recursion
+            assert cell(t) == [w for w in words if rs_tableau(w) == t]
+
+    def test_hook_length_sizes_at_9(self):
+        # One tableau per shape of 9 boxes; the hook-length formula is
+        # symmetric under transposition, so column lengths serve as rows.
+        first = {}
+        for t in enumerate_tableaux(9, limit=9):
+            first.setdefault(t.shape, t)
+        assert len(first) == 30
+        for shape, t in first.items():
+            hooks = math.prod(
+                part - j + sum(1 for below in shape[i + 1:] if below > j)
+                for i, part in enumerate(shape)
+                for j in range(part)
+            )
+            words = cell(t, limit=9)
+            assert len(words) == math.factorial(9) // hooks
+            assert all(rs_tableau(w) == t for w in words)
 
     def test_all_cells_is_read_only(self):
         t = make_tableau([(1, 2), (3,)])

@@ -33,7 +33,7 @@ def test_no_assert_statements():
     assert found == []
 
 
-ORACLES = {"cell_recursive", "cover_recursive", "_cover_rec", "fast_leq_criterion",
+ORACLES = {"cover_recursive", "_cover_rec", "fast_leq_criterion",
            "duflo_base_by_scan", "subspace_leq", "root_position_set"}
 
 
@@ -47,6 +47,17 @@ def test_oracles_defined_only_in_verify():
         if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)) and node.name in ORACLES
     }
     assert found == {("verify.py", oracle) for oracle in ORACLES}
+
+
+def test_no_pass_over_all_words():
+    # Only the definition and its re-export may name the n! word stream.
+    found = sorted(
+        path.name
+        for path in SOURCES
+        if path.name not in {"words.py", "__init__.py"}
+        and re.search(r"\b(enumerate_words|permutations)\b", path.read_text())
+    )
+    assert found == []
 
 
 def imported_modules(tree):
