@@ -8,7 +8,7 @@ never past ``HARD_CEILING``.  Word and tableau enumeration and the chain
 poset default to ``ENUM_DEFAULT``; cells and the Duflo poset default to
 ``CELL_DEFAULT``.  Of these builds only the Duflo poset pays for n! words;
 9! = 362880 is the edge of desk scale, where it takes seconds.  Tableaux (2620 at
-n = 9) and cells are built corner by corner at the cost of their size.
+n = 9), cells and the two-column family (126) grow box by box at their own cost.
 """
 
 import os

@@ -3,8 +3,8 @@
 Chain order: T is below S when every jeu-de-taquin projection of T has a
 shape dominance-below the matching projection of S.  Each tableau's window
 shapes are flattened into one vector of prefix sums, so the chain order is
-a componentwise comparison of vectors; the poset is built bit-sliced, one
-AND of a threshold bitmask per coordinate and node, with no pair loop.
+a componentwise comparison of vectors; ``componentwise_rows`` builds the
+poset bit-sliced, one AND of a threshold bitmask per coordinate and node.
 
 Duflo order: the relation induced on tableaux from the weak right order on
 words through their cells.  The base relation ("some word of the first cell
@@ -273,6 +273,22 @@ def _duflo_poset(n: int) -> TableauPoset:
     )
 
 
+def componentwise_rows(vectors: Sequence[Sequence[int]]) -> list[int]:
+    """Row bitmasks, with no pair loop: bit j of row k is set when
+    ``vectors[k] <= vectors[j]`` on every coordinate (non-negative integers)."""
+    bits = [1 << j for j in range(len(vectors))]
+    rows = [(1 << len(vectors)) - 1] * len(vectors)
+    for coord in zip(*vectors):
+        # at_least[v]: the vectors whose value on this coordinate is >= v.
+        at_least = [0] * (max(coord) + 1)
+        for v, bit in zip(coord, bits):
+            at_least[v] |= bit
+        for v in range(len(at_least) - 1, 0, -1):
+            at_least[v - 1] |= at_least[v]
+        rows = [row & at_least[v] for row, v in zip(rows, coord)]
+    return rows
+
+
 def chain_poset(n: int, limit: int | None = None) -> TableauPoset:
     """The chain-order poset on all standard tableaux of size n."""
     check_limit(n, "chain poset", limit, ENUM_DEFAULT)
@@ -282,18 +298,7 @@ def chain_poset(n: int, limit: int | None = None) -> TableauPoset:
 @functools.lru_cache(maxsize=None)
 def _chain_poset(n: int) -> TableauPoset:
     nodes = tuple(enumerate_tableaux(n, limit=n))
-    vectors = [_chain_vector(t) for t in nodes]
-    everyone = (1 << len(nodes)) - 1
-    rows = [everyone] * len(nodes)
-    for coord in zip(*vectors):
-        # at_least[v]: the nodes whose value on this coordinate is >= v.
-        at_least = [0] * (max(coord) + 1)
-        for k, v in enumerate(coord):
-            at_least[v] |= 1 << k
-        for v in range(len(at_least) - 1, 0, -1):
-            at_least[v - 1] |= at_least[v]
-        for k, v in enumerate(coord):
-            rows[k] &= at_least[v]
+    rows = componentwise_rows([_chain_vector(t) for t in nodes])
     return TableauPoset(
         kind="chain",
         n=n,

@@ -231,26 +231,25 @@ def enumerate_tableaux(
 ) -> Iterator[Tableau]:
     """All standard tableaux with n boxes, sorted by row-form serialization.
 
-    With ``max_columns`` the stream is filtered to tableaux of at most that
-    many columns (``max_columns=2`` gives the two-column family).  The
-    tableaux are grown corner by corner and cached per n.
+    With ``max_columns`` only tableaux of at most that many columns are
+    grown (``max_columns=2`` gives the two-column family), at the cost of
+    their own number; the result is cached per n and ``max_columns``.
     """
     check_limit(n, "tableau enumeration", limit, ENUM_DEFAULT)
-    for t in _standard_tableaux(n):
-        if max_columns is None or len(t.columns) <= max_columns:
-            yield t
+    yield from _standard_tableaux(n, max_columns)
 
 
 @functools.lru_cache(maxsize=None)
-def _standard_tableaux(n: int) -> tuple[Tableau, ...]:
-    # Corner growth: n goes at the foot of every column shorter than its
-    # left neighbour, and into a new last column.
+def _standard_tableaux(n: int, max_columns: int | None) -> tuple[Tableau, ...]:
+    # Corner growth: n goes at the foot of every column shorter than its left
+    # neighbour, and into a new last column, but never into column max_columns + 1.
     if n == 0:
         return (EMPTY_TABLEAU,)
     grown = []
-    for t in _standard_tableaux(n - 1):
+    for t in _standard_tableaux(n - 1, max_columns):
         cols = t.columns
-        for c in range(len(cols) + 1):
+        width = len(cols) + 1 if max_columns is None else min(len(cols) + 1, max_columns)
+        for c in range(width):
             if c == len(cols):
                 grown.append(Tableau(cols + ((n,),), check=False))
             elif c == 0 or len(cols[c]) < len(cols[c - 1]):

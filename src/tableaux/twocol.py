@@ -114,9 +114,10 @@ def canonical_word(t: Tableau) -> CanonicalWord:
 def fast_leq(t: Tableau, s: Tableau) -> bool:
     """Comparison through canonical words; decides both the chain order and
     the induced weak order on the two-column family."""
-    if t.n != s.n:
-        raise InvalidTableauError(f"size mismatch: {t.n} vs {s.n}")
-    return weak_leq(canonical_word(t).word, canonical_word(s).word)
+    w, y = canonical_word(t).word, canonical_word(s).word
+    if w.n != y.n:
+        raise InvalidTableauError(f"size mismatch: {w.n} vs {y.n}")
+    return weak_leq(w, y)
 
 
 def runs(t: Tableau) -> list[tuple[int, int]]:
@@ -169,6 +170,4 @@ def two_row_leq(t: Tableau, s: Tableau) -> bool:
     """Order on two-row tableaux; transposition reverses the comparison."""
     _require_two_rows(t)
     _require_two_rows(s)
-    if t.n != s.n:
-        raise InvalidTableauError(f"size mismatch: {t.n} vs {s.n}")
     return fast_leq(s.transpose(), t.transpose())

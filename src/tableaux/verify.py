@@ -4,11 +4,13 @@ independent routes they check production against.
 
 Each suite examines a full population (all pairs of two-column tableaux,
 all nodes of a poset, ...) and reports a pass/fail with a counterexample
-when one exists.  ``SUITES`` records, per suite, the sizes its claim
-covers (the orders coincide up to n = 5; a proper extension is sought
-from n = 6 on) and the default cap of what it builds; ``run_suite(n)``
-runs every suite whose claim covers n and whose cap, resolved from
-``limit``, admits n.  ``limit`` also caps the suites' builds.
+when one exists; pair suites compare relations as rows of bitmasks, and
+``thm311`` builds both of its rows with no pair loop.  ``SUITES`` records,
+per suite, the sizes its claim covers (the orders coincide up to n = 5; a
+proper extension is sought from n = 6 on) and the default cap of what it
+builds; ``run_suite(n)`` runs and times every suite whose claim covers n
+and whose cap, resolved from ``limit``, admits n.  ``limit`` also caps the
+suites' builds.
 
 The independent routes re-derive a production result another way: the
 two-column cover by recursion, the paper's membership criterion, the Duflo
@@ -24,7 +26,7 @@ from dataclasses import dataclass, field
 
 from .config import CELL_DEFAULT, ENUM_DEFAULT, effective_limit
 from .errors import InvalidTableauError, InvalidWordError, LimitError
-from .orders import chain_leq, chain_poset, duflo_poset
+from .orders import _chain_vector, chain_poset, componentwise_rows, duflo_poset
 from .rsjdt import all_cells, insert
 from .tableau import Tableau, enumerate_tableaux, map_entries, relabel_tableau, row_text
 from .twocol import _require_two_columns, canonical_word, cover, fast_leq, move_to_first_column
@@ -38,7 +40,7 @@ class CheckResult:
     population: int
     passed: bool
     counterexample: str | None = None
-    seconds: float = 0.0
+    seconds: float = 0.0  # set by run_suite
 
     def line(self) -> str:
         status = "PASS" if self.passed else "FAIL"
@@ -66,27 +68,37 @@ class VerifyReport:
         return out
 
 
-def _pair_label(t: Tableau, s: Tableau, order: str) -> str:
-    return f"T={row_text(t)} S={row_text(s)} order={order}"
-
-
 def _two_column(n: int, limit: int | None) -> list[Tableau]:
     # A small family: without an explicit limit, the hard ceiling caps it.
     return list(enumerate_tableaux(n, max_columns=2, limit=n if limit is None else limit))
 
 
-def _pair_scan(name: str, n: int, nodes, left, right, order: str,
-               start: float) -> CheckResult:
-    """Compare ``left`` and ``right`` on every ordered pair, row-major, up to
-    the first pair on which they disagree."""
-    count = 0
-    for t in nodes:
-        for s in nodes:
-            count += 1
-            if left(t, s) != right(t, s):
-                return CheckResult(name, n, count, False, _pair_label(t, s, order),
-                                   time.perf_counter() - start)
-    return CheckResult(name, n, count, True, None, time.perf_counter() - start)
+def _first_pair(rows: list[int], nodes, order: str) -> str | None:
+    """Label of the row-major first set bit of ``rows``, or None."""
+    for i, row in enumerate(rows):
+        if row:
+            j = (row & -row).bit_length() - 1
+            return f"T={row_text(nodes[i])} S={row_text(nodes[j])} order={order}"
+    return None
+
+
+def _compare_rows(name: str, n: int, nodes, left, right, order: str) -> CheckResult:
+    """Compare two relations on ``nodes`` given as rows, on all ordered
+    pairs; the counterexample is the row-major first pair they differ on."""
+    bad = _first_pair([a ^ b for a, b in zip(left, right)], nodes, order)
+    return CheckResult(name, n, len(nodes) ** 2, bad is None, bad)
+
+
+def _word_rows(n: int, nodes) -> list[int]:
+    """Canonical words compared as rows: a node's row is the AND, over its
+    inversion pairs, of the nodes whose word has that inversion."""
+    masks = [canonical_word(t).word.inversion_mask() for t in nodes]
+    return componentwise_rows([[m >> p & 1 for p in range(n * (n - 1) // 2)] for m in masks])
+
+
+def _pair_rows(nodes, leq) -> list[int]:
+    """A relation given pair by pair, as rows: bit j of row k is ``leq(nodes[k], nodes[j])``."""
+    return [sum(1 << j for j, s in enumerate(nodes) if leq(t, s)) for t in nodes]
 
 
 def cover_recursive(t: Tableau) -> list[Tableau]:
@@ -125,12 +137,8 @@ def fast_leq_criterion(t: Tableau, s: Tableau) -> bool:
     if t.n != s.n:
         raise InvalidTableauError(f"size mismatch: {t.n} vs {s.n}")
     _require_two_columns(t)
-    s_trace = canonical_word(s).trace
-    t2 = set(t.column(2))
-    if not set(s.column(2)) <= t2:
-        return False
-    t1 = set(t.column(1))
-    return all(pushed in t1 for _, pushed in s_trace.second_column.values())
+    pushed = canonical_word(s).trace.second_column.values()
+    return set(s.column(2)) <= set(t.column(2)) and all(v in t.column(1) for _, v in pushed)
 
 
 def duflo_base_by_scan(n: int) -> tuple[int, ...]:
@@ -170,54 +178,35 @@ def subspace_leq(w: Word, y: Word) -> bool:
 
 def thm311_check(n: int, limit: int | None = None) -> CheckResult:
     """Chain order equals the canonical-word comparison on two-column pairs."""
-    start = time.perf_counter()
     nodes = _two_column(n, limit)
-    words = {t: canonical_word(t).word for t in nodes}
-    return _pair_scan("thm311", n, nodes, chain_leq,
-                      lambda t, s: weak_leq(words[t], words[s]), "chain-vs-word", start)
+    chain_rows = componentwise_rows([_chain_vector(t) for t in nodes])
+    return _compare_rows("thm311", n, nodes, chain_rows, _word_rows(n, nodes), "chain-vs-word")
 
 
 def cor312_check(n: int, limit: int | None = None) -> CheckResult:
     """The induced weak order restricted to two-column nodes equals the
     canonical-word comparison."""
-    start = time.perf_counter()
-    poset = duflo_poset(n, limit)
-    nodes = [t for t in poset.nodes if len(t.columns) <= 2]
-    return _pair_scan("cor312", n, nodes, poset.leq, fast_leq, "duflo-vs-word", start)
+    poset = duflo_poset(n, limit).restrict(lambda t: len(t.columns) <= 2)
+    return _compare_rows("cor312", n, poset.nodes, poset.leq_rows,
+                         _pair_rows(poset.nodes, fast_leq), "duflo-vs-word")
 
 
 def criterion_check(n: int, limit: int | None = None) -> CheckResult:
     """The paper's membership criterion equals the canonical-word
     comparison on two-column pairs."""
-    start = time.perf_counter()
-    return _pair_scan("criterion", n, _two_column(n, limit), fast_leq_criterion, fast_leq,
-                      "criterion-vs-word", start)
+    nodes = _two_column(n, limit)
+    return _compare_rows("criterion", n, nodes, _pair_rows(nodes, fast_leq_criterion),
+                         _pair_rows(nodes, fast_leq), "criterion-vs-word")
 
 
 def prop316_check(n: int, limit: int | None = None) -> CheckResult:
     """Explicit cover = recursive cover = brute-force poset cover on the
     two-column family."""
-    start = time.perf_counter()
     poset = duflo_poset(n, limit).restrict(lambda t: len(t.columns) <= 2)
-    bad = None
-    for t in poset.nodes:
-        explicit = cover(t)
-        recursive = cover_recursive(t)
-        brute = sorted(poset.cover_of(t), key=row_text)
-        if not explicit == recursive == brute:
-            bad = f"T={row_text(t)} order=cover"
-            break
-    return CheckResult("prop316", n, len(poset.nodes), bad is None, bad,
-                       time.perf_counter() - start)
-
-
-def _first_pair(rows: list[int], nodes, order: str) -> str | None:
-    """Label of the row-major first set bit of ``rows``, or None."""
-    for i, row in enumerate(rows):
-        if row:
-            j = (row & -row).bit_length() - 1
-            return _pair_label(nodes[i], nodes[j], order)
-    return None
+    bad = next((f"T={row_text(t)} order=cover" for t in poset.nodes
+                if not cover(t) == cover_recursive(t) == sorted(poset.cover_of(t), key=row_text)),
+               None)
+    return CheckResult("prop316", n, len(poset.nodes), bad is None, bad)
 
 
 def _both_posets(n: int, limit: int | None):
@@ -230,12 +219,8 @@ def _both_posets(n: int, limit: int | None):
 
 def coincide_check(n: int, limit: int | None = None) -> CheckResult:
     """The induced weak order and the chain order agree on all tableaux."""
-    start = time.perf_counter()
     dp, cp = _both_posets(n, limit)
-    diff = [c ^ d for c, d in zip(cp.leq_rows, dp.leq_rows)]
-    bad = _first_pair(diff, dp.nodes, "duflo-vs-chain")
-    return CheckResult("coincide", n, len(dp.nodes) ** 2, bad is None, bad,
-                       time.perf_counter() - start)
+    return _compare_rows("coincide", n, dp.nodes, dp.leq_rows, cp.leq_rows, "duflo-vs-chain")
 
 
 def extension_check(n: int, limit: int | None = None) -> CheckResult:
@@ -243,15 +228,13 @@ def extension_check(n: int, limit: int | None = None) -> CheckResult:
     related in the induced order is related in the chain order, and some
     pair related in the chain order is not.  A pair missing from the chain
     order is reported as the counterexample, otherwise the witness pair."""
-    start = time.perf_counter()
     dp, cp = _both_posets(n, limit)
     missing = _first_pair([d & ~c for c, d in zip(cp.leq_rows, dp.leq_rows)],
                           dp.nodes, "duflo-not-chain")
     witness = _first_pair([c & ~d for c, d in zip(cp.leq_rows, dp.leq_rows)],
                           dp.nodes, "chain-not-duflo")
     return CheckResult("extension", n, len(dp.nodes) ** 2,
-                       missing is None and witness is not None, missing or witness,
-                       time.perf_counter() - start)
+                       missing is None and witness is not None, missing or witness)
 
 
 # name -> (check, (first, last or None) size its claim covers, default cap)
@@ -266,18 +249,29 @@ SUITES = {
 
 
 def run_suite(n: int, suite: str = "all", limit: int | None = None) -> VerifyReport:
-    start = time.perf_counter()
     report = VerifyReport(n=n)
+    start = time.perf_counter()
     if suite == "all":
-        selected = [name for name, (_, (first, last), default) in SUITES.items()
-                    if first <= n <= (last or n) and n <= effective_limit(limit, default)]
+        caps = {name: effective_limit(limit, default)
+                for name, (_, (first, last), default) in SUITES.items()
+                if first <= n <= (last or n)}
+        selected = [name for name, cap in caps.items() if n <= cap]
         if not selected:
-            raise LimitError(f"no verification suite applies at n={n}")
+            # One limit resolves every cap alike; only the defaults differ.
+            distinct, under = set(caps.values()), ""
+            if len(distinct) == 1:
+                under = f" under the limit {min(distinct)}"
+            elif distinct:
+                listed = ", ".join(f"{name} {cap}" for name, cap in caps.items())
+                under = f" under the default caps ({listed})"
+            raise LimitError(f"no verification suite applies at n={n}{under}")
     else:
         if suite not in SUITES:
             raise LimitError(f"unknown suite {suite!r}")
         selected = [suite]
     for name in selected:
+        began = time.perf_counter()
         report.checks.append(SUITES[name][0](n, limit))
+        report.checks[-1].seconds = time.perf_counter() - began
     report.elapsed = time.perf_counter() - start
     return report

@@ -13,6 +13,7 @@ from conftest import all_tableaux, all_words, two_column
 from tableaux import (
     Word,
     canonical_word,
+    cell,
     chain_leq,
     cover,
     delete_corner,
@@ -35,7 +36,6 @@ from tableaux import (
     weak_leq,
 )
 from tableaux.orders import _chain_poset, _duflo_poset
-from tableaux.rsjdt import all_cells
 from tableaux.verify import cover_recursive, fast_leq_criterion
 from tableaux.tableau import corners
 
@@ -234,10 +234,9 @@ class TestCriterion7StructuralSuites:
     def test_cell_maximality(self):
         bad = 0
         for n in range(1, 8):
-            cells = all_cells(n)
             for t in two_column(n):
                 top = canonical_word(t).word
-                bad += sum(1 for y in cells[t] if not weak_leq(y, top))
+                bad += sum(1 for y in cell(t) if not weak_leq(y, top))
         report("criterion-7 canonical word cell-maximality n<=7", bad == 0)
 
     def test_criterion_equals_word_comparison(self):

@@ -275,6 +275,12 @@ class TestVerify:
         assert code == 2
         assert "no verification suite applies at n=7" in err
 
+    def test_no_suite_names_the_cap(self, capsys):
+        _, _, err = run(capsys, "--limit-n", "6", "verify", "7")
+        assert "no verification suite applies at n=7 under the limit 6" in err
+        _, _, err = run(capsys, "verify", "9")
+        assert "n=9 under the default caps (thm311 8, cor312 7, prop316 7" in err
+
     def test_unknown_suite_size(self, capsys):
         code, _, err = run(capsys, "verify", "9")
         assert code == 2

@@ -390,9 +390,10 @@ class TestVerifySuites:
         assert result.counterexample == "T=1 2 3; 4 5 6 S=1 2 5; 3 6; 4 order=duflo-vs-chain"
 
     def test_criterion_reports_first_counterexample(self, monkeypatch):
+        # A FAIL counts all pairs.
         monkeypatch.setattr(verify, "fast_leq_criterion", lambda t, s: t == s)
         result = verify.criterion_check(3)
-        assert not result.passed and result.population == 3
+        assert not result.passed and result.population == 9
         assert result.counterexample == "T=1 2; 3 S=1; 2; 3 order=criterion-vs-word"
 
     @pytest.mark.parametrize("n", range(1, 6))

@@ -248,6 +248,13 @@ class TestEnumerate:
         assert sum(1 for t in family if len(t.columns) == 2) == 5
         assert {t.shape for t in family} == {(2, 2), (3, 1), (4,)}
 
+    @pytest.mark.parametrize("max_columns", (1, 2, 3))
+    @pytest.mark.parametrize("n", range(0, 9))
+    def test_max_columns_grows_the_filtered_family(self, n, max_columns):
+        everything = enumerate_tableaux(n)
+        assert tuple(enumerate_tableaux(n, max_columns=max_columns)) == tuple(
+            t for t in everything if len(t.columns) <= max_columns)
+
     def test_n3(self):
         assert len(all_tableaux(3)) == 4
 

@@ -6,6 +6,7 @@ from tableaux import (
     Tableau,
     Word,
     canonical_word,
+    cell,
     chain_leq,
     cover,
     delete_corner,
@@ -21,7 +22,6 @@ from tableaux import (
     two_row_leq,
     weak_leq,
 )
-from tableaux.rsjdt import all_cells
 from tableaux.verify import cover_recursive, fast_leq_criterion, root_position_set
 
 WORKED_T = [(1, 2, 4, 7), (3, 5, 6)]
@@ -91,10 +91,9 @@ class TestCanonicalWord:
 
     @pytest.mark.parametrize("n", range(1, 8))
     def test_maximal_in_cell(self, n):
-        cells = all_cells(n)
         for t in two_column(n):
             top = canonical_word(t).word
-            for y in cells[t]:
+            for y in cell(t):
                 assert weak_leq(y, top)
 
 
@@ -124,6 +123,12 @@ class TestFastComparison:
         t = make_tableau([(1, 2, 4), (3, 5)])
         s = make_tableau([(1, 2, 5), (3, 4)])
         assert not fast_leq(t, s) and not fast_leq(s, t)
+
+    def test_size_mismatch(self):
+        t, s = make_tableau([(1, 3), (2,)]), make_tableau([(1, 3), (2, 4)])
+        for leq in (fast_leq, two_row_leq):
+            with pytest.raises(InvalidTableauError, match="size mismatch"):
+                leq(t, s)
 
     def test_criterion_subset_failure(self):
         t = make_tableau([(1, 3), (2, 4)])
