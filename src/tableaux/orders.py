@@ -5,6 +5,8 @@ shape dominance-below the matching projection of S.  Each tableau's window
 shapes are flattened into one vector of prefix sums, so the chain order is
 a componentwise comparison of vectors; ``componentwise_rows`` builds the
 poset bit-sliced, one AND of a threshold bitmask per coordinate and node.
+A vector is the windows (1, j) followed by the vector of the tableau left
+by sliding 1 out, so a batch shares one slide per distinct sub-tableau.
 
 Duflo order: the relation induced on tableaux from the weak right order on
 words through their cells.  The base relation ("some word of the first cell
@@ -59,47 +61,62 @@ def compare(t: Tableau, s: Tableau, leq: Callable[[Tableau, Tableau], bool]) -> 
     return Verdict.INCOMPARABLE
 
 
-def _window_shapes(t: Tableau) -> dict[tuple[int, int], ColumnShape]:
-    if not t.is_standard:
+def _chain_vectors(tableaux: Sequence[Tableau]) -> list[tuple[int, ...]]:
+    """``_chain_vector`` of each tableau, sharing the deletion chains."""
+    if not all(t.is_standard for t in tableaux):
         raise InvalidTableauError("chain profiles are defined for standard tableaux")
-    n = t.n
-    diagrams: dict[tuple[int, int], ColumnShape] = {}
-    cols = [list(c) for c in t.columns]
-    for i in range(1, n):
-        # ``cols`` holds i..n with i in the corner; its entries <= j fill a
-        # diagram, grown here one box per j.
-        column_of = {v: c for c, col in enumerate(cols) for v in col}
-        counts = [1] + [0] * (len(cols) - 1)
-        width = 1
-        for j in range(i + 1, n + 1):
-            c = column_of[j]
-            counts[c] += 1
-            width = max(width, c + 1)
-            diagrams[(i, j)] = tuple(counts[:width])
-        _slide_out(cols, 0, 0)
-    return diagrams
-
-
-@functools.lru_cache(maxsize=None)
-def chain_profile(t: Tableau) -> Mapping[tuple[int, int], ColumnShape]:
-    """Shapes of all projections onto value windows i..j, 1 <= i < j <= n,
-    as a read-only mapping."""
-    return MappingProxyType(_window_shapes(t))
+    # below[cols], for a sub-tableau on lo..n (lo > 1): its windows (lo, j)
+    # and the columns left by sliding lo out.
+    below: dict[tuple[tuple[int, ...], ...], tuple] = {}
+    vectors = []
+    for t in tableaux:
+        n, cols, vector = t.n, t.columns, []
+        for lo in range(1, n):
+            if cols in below:
+                prefix, cols = below[cols]
+                vector.extend(prefix)
+                continue
+            # lo is in the corner; the entries <= j fill a diagram, grown
+            # here one box per j.
+            start, key = len(vector), cols
+            column_of = {v: c for c, col in enumerate(cols) for v in col}
+            counts = [1] + [0] * (n - lo)
+            for j in range(lo + 1, n + 1):
+                counts[column_of[j]] += 1
+                vector.extend(itertools.accumulate(counts[:j - lo]))
+            if lo < n - 1:
+                slid = [list(c) for c in cols]
+                _slide_out(slid, 0, 0)
+                cols = tuple(map(tuple, slid))
+            if lo > 1:
+                below[key] = (tuple(vector[start:]), cols)
+        vectors.append(tuple(vector))
+    return vectors
 
 
 @functools.lru_cache(maxsize=None)
 def _chain_vector(t: Tableau) -> tuple[int, ...]:
     """Window shapes flattened in sorted window order: for window (i, j),
     the first j - i prefix sums of its shape, held at the box count past
-    the last column.  The last sum, j - i + 1, is dropped because every
-    tableau shares it.  Dominance on every window is componentwise ``<=``."""
-    shapes = _window_shapes(t)
-    out: list[int] = []
-    for i, j in sorted(shapes):
-        sums = list(itertools.accumulate(shapes[(i, j)]))
-        sums += [j - i + 1] * (j - i - len(sums))
-        out.extend(sums[:j - i])
-    return tuple(out)
+    the last column; the last sum, j - i + 1, is common and dropped.
+    Dominance on every window is componentwise ``<=``.  Sliding out a
+    down-set does not depend on the order, so the windows (i, j), i >= 2,
+    are those of the tableau left by sliding 1 out: a vector is its windows
+    (1, j) followed by that tableau's.  A batch shares these sub-tableaux
+    for one call only; kept for good, they would add n - 2 entries for
+    every fresh tableau."""
+    return _chain_vectors((t,))[0]
+
+
+@functools.lru_cache(maxsize=None)
+def chain_profile(t: Tableau) -> Mapping[tuple[int, int], ColumnShape]:
+    """Shapes of all projections onto value windows i..j, 1 <= i < j <= n,
+    as a read-only mapping: the positive steps of their ``_chain_vector`` sums."""
+    vector, profile = iter(_chain_vector(t)), {}
+    for i, j in itertools.combinations(range(1, t.n + 1), 2):
+        sums = [0, *itertools.islice(vector, j - i), j - i + 1]
+        profile[(i, j)] = tuple(b - a for a, b in zip(sums, sums[1:]) if b > a)
+    return MappingProxyType(profile)
 
 
 def chain_leq(t: Tableau, s: Tableau) -> bool:
@@ -298,14 +315,9 @@ def chain_poset(n: int, limit: int | None = None) -> TableauPoset:
 @functools.lru_cache(maxsize=None)
 def _chain_poset(n: int) -> TableauPoset:
     nodes = tuple(enumerate_tableaux(n, limit=n))
-    rows = componentwise_rows([_chain_vector(t) for t in nodes])
-    return TableauPoset(
-        kind="chain",
-        n=n,
-        nodes=nodes,
-        leq_rows=tuple(rows),
-        hasse=tuple(hasse_reduce(rows)),
-    )
+    rows = componentwise_rows(_chain_vectors(nodes))
+    return TableauPoset(kind="chain", n=n, nodes=nodes, leq_rows=tuple(rows),
+                        hasse=tuple(hasse_reduce(rows)))
 
 
 def poset_to_json(poset: TableauPoset) -> str:

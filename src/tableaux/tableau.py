@@ -20,6 +20,7 @@ tableau and this module depends on neither ``words`` nor ``rsjdt``.
 from __future__ import annotations
 
 import functools
+import itertools
 from typing import Iterable, Iterator, NamedTuple, Sequence
 
 from .config import ENUM_DEFAULT, check_limit
@@ -54,13 +55,7 @@ def dominance_leq(a: Sequence[int], b: Sequence[int]) -> bool:
     a, b = validate_shape(a), validate_shape(b)
     if sum(a) != sum(b):
         raise InvalidTableauError(f"box count mismatch: {sum(a)} vs {sum(b)}")
-    total_a = total_b = 0
-    for ai, bi in zip(a, b):
-        total_a += ai
-        total_b += bi
-        if total_a > total_b:
-            return False
-    return True
+    return all(map(int.__le__, itertools.accumulate(a), itertools.accumulate(b)))
 
 
 class Corner(NamedTuple):

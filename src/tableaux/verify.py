@@ -26,7 +26,7 @@ from dataclasses import dataclass, field
 
 from .config import CELL_DEFAULT, ENUM_DEFAULT, effective_limit
 from .errors import InvalidTableauError, InvalidWordError, LimitError
-from .orders import _chain_vector, chain_poset, componentwise_rows, duflo_poset
+from .orders import _chain_vectors, chain_poset, componentwise_rows, duflo_poset
 from .rsjdt import all_cells, insert
 from .tableau import Tableau, enumerate_tableaux, map_entries, relabel_tableau, row_text
 from .twocol import _require_two_columns, canonical_word, cover, fast_leq, move_to_first_column
@@ -179,7 +179,7 @@ def subspace_leq(w: Word, y: Word) -> bool:
 def thm311_check(n: int, limit: int | None = None) -> CheckResult:
     """Chain order equals the canonical-word comparison on two-column pairs."""
     nodes = _two_column(n, limit)
-    chain_rows = componentwise_rows([_chain_vector(t) for t in nodes])
+    chain_rows = componentwise_rows(_chain_vectors(nodes))
     return _compare_rows("thm311", n, nodes, chain_rows, _word_rows(n, nodes), "chain-vs-word")
 
 

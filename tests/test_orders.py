@@ -104,6 +104,22 @@ def windowwise_chain_leq(t, s):
     return all(dominance_leq(pt[key], ps[key]) for key in pt)
 
 
+def windowwise_rows(nodes):
+    """Row bitmasks of the chain order by its definition, dominance_leq on
+    every window, called once per pair of distinct shapes of a window: the
+    nodes are grouped by their shape there."""
+    profiles = [chain_profile(t) for t in nodes]
+    rows = [(1 << len(nodes)) - 1] * len(nodes)
+    for key in profiles[0]:
+        holding = {}
+        for k, profile in enumerate(profiles):
+            holding[profile[key]] = holding.get(profile[key], 0) | 1 << k
+        above = {a: sum(mask for b, mask in holding.items() if dominance_leq(a, b))
+                 for a in holding}
+        rows = [row & above[profile[key]] for row, profile in zip(rows, profiles)]
+    return rows
+
+
 @st.composite
 def chain_pairs(draw):
     """A random tableau of size 10..14, one above it (the insertion tableau
@@ -144,13 +160,33 @@ class TestChainProfile:
         for (i, j), shape in profile.items():
             assert shape == tuple([1] * (j - i + 1))
 
-    @pytest.mark.parametrize("n", range(2, 7))
+    @pytest.mark.parametrize("n", range(2, 8))
     def test_matches_projection_shapes(self, n):
         for t in all_tableaux(n):
             profile = chain_profile(t)
             for i in range(1, n):
                 for j in range(i + 1, n + 1):
                     assert profile[(i, j)] == project_tableau(t, i, j).shape
+
+    @given(chain_pairs())
+    def test_matches_projection_shapes_at_large_n(self, pair):
+        # Window by window through project_tableau: an oracle that shares
+        # no vector with chain_leq.
+        t = pair[0]
+        profile = chain_profile(t)
+        for i in range(1, t.n):
+            for j in range(i + 1, t.n + 1):
+                assert profile[(i, j)] == project_tableau(t, i, j).shape
+
+    def test_batch_equals_one_at_a_time(self):
+        # Sizes mixed and repeated in one batch, so its memo sees
+        # sub-tableaux of every size.
+        batch = [t for n in (6, 3, 5, 6, 1, 0, 4) for t in all_tableaux(n)]
+        assert orders._chain_vectors(batch) == [orders._chain_vectors((t,))[0] for t in batch]
+
+    def test_non_standard_rejected(self):
+        with pytest.raises(InvalidTableauError, match="defined for standard tableaux"):
+            chain_profile(Tableau([(2, 3)]))
 
     def test_cached_profile_is_read_only(self):
         t = make_tableau([(1, 3), (2, 4)])
@@ -210,8 +246,22 @@ class TestChainPoset:
     @pytest.mark.parametrize("n", range(1, 8))
     def test_rows_match_windowwise_dominance(self, n):
         p = chain_poset(n)
-        for t, s, related in poset_pairs(p):
-            assert related == windowwise_chain_leq(t, s)
+        assert list(p.leq_rows) == windowwise_rows(p.nodes)
+
+    def test_build_slides_once_per_sub_tableau(self, monkeypatch):
+        # One slide per standard tableau of size 3..8 down the deletion
+        # chains; a vector per tableau from scratch makes 5348.
+        slide, calls = orders._slide_out, []
+
+        def spy(*args):
+            calls.append(1)
+            return slide(*args)
+
+        monkeypatch.setattr(orders, "_slide_out", spy)
+        orders._chain_poset.cache_clear()
+        p = orders._chain_poset(8)
+        assert len(p.nodes) == 764 and len(p.hasse) == 2460
+        assert len(calls) <= sum(len(all_tableaux(k)) for k in range(3, 9)) == 1112
 
     def test_default_limit(self):
         with pytest.raises(LimitError, match=r"^chain poset at n=9 exceeds the limit 8$"):
