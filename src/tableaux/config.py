@@ -6,9 +6,10 @@ two defaults, one ceiling.  Limits can be raised per call (``limit=``), or
 process-wide through the ``TABLEAUX_LIMIT_N`` environment variable, but
 never past ``HARD_CEILING``.  Word and tableau enumeration and the chain
 poset default to ``ENUM_DEFAULT``; cells and the Duflo poset default to
-``CELL_DEFAULT``.  Of these builds only the Duflo poset pays for n! words;
-9! = 362880 is the edge of desk scale, where it takes seconds.  Tableaux (2620 at
-n = 9), cells and the two-column family (126) grow box by box at their own cost.
+``CELL_DEFAULT``.  Of these builds only the Duflo poset pays for words, about
+half of the n!: the 196054 of 9! = 362880 with at least half of the
+inversions, where it takes under two seconds.  Tableaux (2620 at n = 9),
+cells and the two-column family (126) grow box by box at their own cost.
 """
 
 import os

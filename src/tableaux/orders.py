@@ -10,12 +10,20 @@ by sliding 1 out, so a batch shares one slide per distinct sub-tableau.
 
 Duflo order: the relation induced on tableaux from the weak right order on
 words through their cells.  The base relation ("some word of the first cell
-is below some word of the second") comes from one sweep over the words, one
+is below some word of the second") comes from a sweep over the words, one
 inversion layer at a time from the longest word down, carrying per word the
-tableaux whose cells meet its weak-order up-set.  It is not transitive from
-n = 5 on (175 against 177 pairs at n = 5, 953 against 987 at n = 6), so
-up-set sweeps close it.  Both posets are checked and Hasse-reduced through a
-linear extension, one bitset operation per cover.
+tableaux whose cells meet its weak-order up-set.  The build sweeps only the
+words with at least h = floor(N / 2) of the N = n(n - 1) / 2 inversions.
+Reversal turns the weak order upside down and transposes the insertion
+tableau, so a base pair (T, S) from words w <= v is either swept (w has at
+least h inversions), or the transpose (S^t, T^t) of a swept pair (v has at
+most N - h), or joined through a word m with h inversions on a chain from w
+to v, with (T(w), T(m)) of the second kind and (T(m), T(v)) of the first.
+The swept pairs and their transposes thus have the transitive closure of the
+whole base relation, which is not transitive itself from n = 5 on (175
+against 177 pairs at n = 5, 953 against 987 at n = 6).  Both posets are
+checked and Hasse-reduced through a linear extension, one bitset operation
+per cover.
 
 The word-pair scan of the base relation and the subspace form of the weak
 order are independent routes; they live in ``verify`` and the tests.
@@ -170,7 +178,8 @@ class TableauPoset:
     """A finite poset of same-size tableaux with its Hasse reduction.
 
     ``leq_rows[i]`` has bit j set when node i is below node j.  ``base_rows``
-    keeps the pre-closure relation for the Duflo kind (None otherwise).
+    is the Duflo relation before closure, computed on first read and cached
+    per n; it is None for the chain kind and for restricted posets.
     Posets are cached and shared, so they are frozen.
     """
 
@@ -179,12 +188,16 @@ class TableauPoset:
     nodes: tuple[Tableau, ...]
     leq_rows: tuple[int, ...]
     hasse: tuple[tuple[int, int], ...]
-    base_rows: tuple[int, ...] | None = None
+    _base_of: Callable[[int], tuple[int, ...]] | None = field(default=None, repr=False)
     _index: Mapping[Tableau, int] = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
         index = MappingProxyType({t: i for i, t in enumerate(self.nodes)})
         object.__setattr__(self, "_index", index)
+
+    @property
+    def base_rows(self) -> tuple[int, ...] | None:
+        return None if self._base_of is None else self._base_of(self.n)
 
     def index_of(self, t: Tableau) -> int:
         try:
@@ -238,39 +251,69 @@ def duflo_poset(n: int, limit: int | None = None) -> TableauPoset:
     return _duflo_poset(n)
 
 
+def _sweep_layer(n: int, layer: dict[int, int], known: dict[int, int],
+                 index: Mapping[tuple[int, ...], int], base: list[int],
+                 descend: bool) -> dict[int, int]:
+    """Fold one inversion layer of words into ``base`` and return the layer
+    below when ``descend``.  A word is an int with one byte per letter.
+    U(w) = {T(w)} plus U(w') for each cover w' of w (one ascent swapped):
+    layer[w] gathers those U(w'), and known[w] holds T(w)'s index once a
+    Knuth move from some w' has fixed it."""
+    below: dict[int, int] = {}
+    for w, up in layer.items():
+        letters = w.to_bytes(n, "little")
+        i = known.pop(w, -1)
+        if i < 0:
+            cols: list[tuple[int, ...]] = []
+            for v in reversed(letters):
+                _insert_columns(v, cols)
+            i = index[tuple(cols)]
+        up |= 1 << i
+        base[i] |= up
+        if not descend:
+            continue
+        for a in range(n - 1):
+            q, p = letters[a], letters[a + 1]
+            if q > p:
+                x = w + (q - p) * (255 << 8 * a)
+                below[x] = below.get(x, 0) | up
+                # A neighbour valued between p and q makes the swap a
+                # Knuth move, which keeps the insertion tableau.
+                if (a > 0 and p < letters[a - 1] < q) or (a < n - 2 and p < letters[a + 2] < q):
+                    known[x] = i
+    return below
+
+
+def _up_set_sweep(n: int, index: Mapping[tuple[int, ...], int], stop: int) -> list[int]:
+    """Base pairs (T(w), T(v)), w <= v, over the words w with at least
+    ``stop`` inversions, swept one layer at a time from the longest word."""
+    base = [0] * len(index)
+    layer = {int.from_bytes(bytes(range(n, 0, -1)), "little"): 0}
+    known: dict[int, int] = {}
+    for inversions in range(n * (n - 1) // 2, stop - 1, -1):
+        layer = _sweep_layer(n, layer, known, index, base, inversions > stop)
+    return base
+
+
+@functools.lru_cache(maxsize=None)
+def _duflo_base(n: int) -> tuple[int, ...]:
+    """The whole base relation, from the sweep down to the identity word."""
+    nodes = _duflo_poset(n).nodes
+    return tuple(_up_set_sweep(n, {t.columns: i for i, t in enumerate(nodes)}, 0))
+
+
 @functools.lru_cache(maxsize=None)
 def _duflo_poset(n: int) -> TableauPoset:
     nodes = tuple(enumerate_tableaux(n, limit=n))
     index = {t.columns: i for i, t in enumerate(nodes)}
-    base = [0] * len(nodes)
-    # U(w) = {T(w)} plus U(w') for each cover w' of w (one ascent swapped).
-    # Sweeping one inversion layer at a time from the longest word down,
-    # layer[w] gathers those U(w'), and known[w] holds T(w)'s index once a
-    # Knuth move from some w' has fixed it.
-    layer = {tuple(range(n, 0, -1)): 0}
-    known: dict[tuple[int, ...], int] = {}
-    while layer:
-        below: dict[tuple[int, ...], int] = {}
-        for w, up in layer.items():
-            i = known.pop(w, -1)
-            if i < 0:
-                cols: list[tuple[int, ...]] = []
-                for v in reversed(w):
-                    _insert_columns(v, cols)
-                i = index[tuple(cols)]
-            up |= 1 << i
-            base[i] |= up
-            for a in range(n - 1):
-                q, p = w[a], w[a + 1]
-                if q > p:
-                    x = w[:a] + (p, q) + w[a + 2:]
-                    below[x] = below.get(x, 0) | up
-                    # A neighbour valued between p and q makes the swap a
-                    # Knuth move, which keeps the insertion tableau.
-                    if (a > 0 and p < w[a - 1] < q) or (a < n - 2 and p < w[a + 2] < q):
-                        known[x] = i
-        layer = below
-
+    # The words with at least h inversions, then the transposes of their pairs.
+    base = _up_set_sweep(n, index, n * (n - 1) // 4)
+    tau = [index[t.transpose().columns] for t in nodes]
+    for i, row in enumerate(list(base)):
+        while row:
+            k = (row & -row).bit_length() - 1
+            row ^= 1 << k
+            base[tau[k]] |= 1 << tau[i]
     rows = _closure(base)
     try:
         hasse = tuple(hasse_reduce(rows))
@@ -280,14 +323,8 @@ def _duflo_poset(n: int) -> TableauPoset:
         i = rows.index(rows[j])
         raise RuntimeError("antisymmetry violation in the induced order "
                            f"({row_text(nodes[i])} / {row_text(nodes[j])})") from exc
-    return TableauPoset(
-        kind="duflo",
-        n=n,
-        nodes=nodes,
-        leq_rows=tuple(rows),
-        hasse=hasse,
-        base_rows=tuple(base),
-    )
+    return TableauPoset(kind="duflo", n=n, nodes=nodes, leq_rows=tuple(rows), hasse=hasse,
+                        _base_of=_duflo_base)
 
 
 def componentwise_rows(vectors: Sequence[Sequence[int]]) -> list[int]:

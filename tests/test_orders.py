@@ -40,6 +40,14 @@ from tableaux.verify import (
 )
 
 
+def mahonian(n):
+    """Number of permutations of n with k inversions, for each k."""
+    counts = [1]
+    for m in range(1, n + 1):
+        counts = [sum(counts[max(0, k - m + 1):k + 1]) for k in range(len(counts) + m - 1)]
+    return counts
+
+
 def pair_loop_hasse(rows):
     """The pair-loop order check and Hasse reduction, kept as an oracle:
     reflexivity, antisymmetry over every pair, transitivity over every
@@ -302,6 +310,30 @@ class TestDufloPoset:
         p = duflo_poset(6)
         assert p.base_rows != p.leq_rows
 
+    def test_base_rows_only_on_full_duflo_posets(self):
+        assert chain_poset(4).base_rows is None
+        assert duflo_poset(4).restrict(lambda t: True).base_rows is None
+
+    def test_build_sweeps_only_the_top_half(self, monkeypatch):
+        # The words with at least h = floor(28 / 2) = 14 inversions, and the
+        # whole base relation (the sweep down to 0) is not built.
+        sweep, sweep_layer, stops, visited = orders._up_set_sweep, orders._sweep_layer, [], []
+
+        def sweep_spy(n, index, stop):
+            stops.append(stop)
+            return sweep(n, index, stop)
+
+        def layer_spy(n, layer, *args):
+            visited.append(len(layer))
+            return sweep_layer(n, layer, *args)
+
+        monkeypatch.setattr(orders, "_up_set_sweep", sweep_spy)
+        monkeypatch.setattr(orders, "_sweep_layer", layer_spy)
+        p = orders._duflo_poset.__wrapped__(8)
+        assert len(p.hasse) == 2498
+        assert stops == [14]
+        assert sum(visited) == sum(mahonian(8)[14:]) == 22078
+
     @pytest.mark.parametrize("n", range(1, 7))
     def test_is_partial_order(self, n):
         p = duflo_poset(n)
@@ -320,6 +352,13 @@ class TestDufloPoset:
         assert sum(bin(r).count("1") for r in p.base_rows) == base
         assert sum(bin(r).count("1") for r in p.leq_rows) == leq
         assert len(p.hasse) == edges
+
+    def test_pinned_at_9(self):
+        p = duflo_poset(9, limit=9)
+        assert sum(bin(r).count("1") for r in p.leq_rows) == 287595
+        assert len(p.hasse) == 9826
+        digest = hashlib.sha256(poset_to_json(p).encode()).hexdigest()
+        assert digest == "b420425407f26fd476d5fea04dee3122e1385787a4dc68b8249b10c922d7943a"
 
     def test_cyclic_base_names_its_tableaux(self, monkeypatch):
         closure = orders._closure
@@ -385,6 +424,20 @@ class TestOrderContainments:
             for t, s, related in poset_pairs(poset):
                 if related:
                     assert tau_tableau(t) <= tau_tableau(s)
+
+    @pytest.mark.parametrize("n", range(1, 9))
+    def test_transpose_reverses_both_orders(self, n):
+        # T <= S iff S^t <= T^t: relabel each pair through transposition,
+        # swap its ends, and compare the whole relation.
+        for poset in (duflo_poset(n, limit=n), chain_poset(n, limit=n)):
+            tau = [poset.index_of(t.transpose()) for t in poset.nodes]
+            reversed_rows = [0] * len(tau)
+            for i, row in enumerate(poset.leq_rows):
+                while row:
+                    k = (row & -row).bit_length() - 1
+                    row ^= 1 << k
+                    reversed_rows[tau[k]] |= 1 << tau[i]
+            assert tuple(reversed_rows) == poset.leq_rows
 
     @pytest.mark.parametrize("n", range(2, 6))
     def test_chain_respects_projections(self, n):

@@ -60,6 +60,14 @@ def test_no_pass_over_all_words():
     assert found == []
 
 
+def test_only_orders_names_base_rows():
+    # The whole Duflo base relation is an on-demand read for oracles, so no
+    # other module may put its full word sweep on a production path.
+    found = sorted(path.name for path in SOURCES
+                   if path.name != "orders.py" and re.search(r"\bbase_rows\b", path.read_text()))
+    assert found == []
+
+
 def imported_modules(tree):
     for node in ast.walk(tree):
         if isinstance(node, ast.Import):
