@@ -10,6 +10,9 @@ poset default to ``ENUM_DEFAULT``; cells and the Duflo poset default to
 half of the n!: the 196054 of 9! = 362880 with at least half of the
 inversions, where it takes under two seconds.  Tableaux (2620 at n = 9),
 cells and the two-column family (126) grow box by box at their own cost.
+
+``CACHE_BOUND`` caps every cache keyed by a tableau (chain vectors and
+profiles, canonical words); caches keyed by sizes alone are not bounded.
 """
 
 import os
@@ -21,6 +24,8 @@ ENV_LIMIT = "TABLEAUX_LIMIT_N"
 HARD_CEILING = 9
 ENUM_DEFAULT = 8
 CELL_DEFAULT = 7
+
+CACHE_BOUND = 256
 
 
 def effective_limit(limit: int | None, default: int) -> int:

@@ -39,7 +39,7 @@ from dataclasses import dataclass, field
 from types import MappingProxyType
 from typing import Callable, Mapping, Sequence
 
-from .config import CELL_DEFAULT, ENUM_DEFAULT, check_limit
+from .config import CACHE_BOUND, CELL_DEFAULT, ENUM_DEFAULT, check_limit
 from .errors import InvalidTableauError
 from .rsjdt import _insert_columns, _slide_out
 from .tableau import ColumnShape, Tableau, enumerate_tableaux, row_text
@@ -102,7 +102,7 @@ def _chain_vectors(tableaux: Sequence[Tableau]) -> list[tuple[int, ...]]:
     return vectors
 
 
-@functools.lru_cache(maxsize=None)
+@functools.lru_cache(maxsize=CACHE_BOUND)
 def _chain_vector(t: Tableau) -> tuple[int, ...]:
     """Window shapes flattened in sorted window order: for window (i, j),
     the first j - i prefix sums of its shape, held at the box count past
@@ -116,7 +116,7 @@ def _chain_vector(t: Tableau) -> tuple[int, ...]:
     return _chain_vectors((t,))[0]
 
 
-@functools.lru_cache(maxsize=None)
+@functools.lru_cache(maxsize=CACHE_BOUND)
 def chain_profile(t: Tableau) -> Mapping[tuple[int, int], ColumnShape]:
     """Shapes of all projections onto value windows i..j, 1 <= i < j <= n,
     as a read-only mapping: the positive steps of their ``_chain_vector`` sums."""

@@ -9,7 +9,11 @@ the earlier columns, and the value pushed out of column 1 is emitted.
 ``jdt_remove`` deletes arbitrary entries by the sliding procedure; the
 result is independent of the removal order for down-sets, up-sets and
 window complements (the removals the projection machinery uses), and sets
-are processed in ascending order as the canonical choice.  All operations
+are processed in ascending order as the canonical choice.  A projection
+onto the values s..e needs no search: a slide never moves a smaller entry,
+so removing the entries above e is a restriction, and each entry below s
+is the minimum when its turn comes, so its slide starts at the top-left
+cell.  All operations
 accept tableaux on arbitrary alphabets; results on sub-alphabets are
 intentionally left unrelabeled.
 
@@ -187,13 +191,19 @@ def jdt_remove(t: Tableau, entries: Iterable[int]) -> Tableau:
 
 
 def project_tableau(t: Tableau, s: int, e: int) -> Tableau:
-    """Jeu-de-taquin removal of every entry outside the value range s..e."""
+    """Jeu-de-taquin removal of every entry outside the value range s..e:
+    the restriction to the entries <= e, then one slide from the top-left
+    cell per entry below s."""
     if not 1 <= s < e:
         raise InvalidTableauError(f"projection bounds ({s}, {e}) invalid")
     if t.is_standard and e > t.n:
         raise InvalidTableauError(f"projection bounds ({s}, {e}) invalid for n={t.n}")
-    outside = [v for v in t.entry_set() if v < s or v > e]
-    return jdt_remove(t, outside)
+    cols = [[v for v in col if v <= e] for col in t.columns]
+    while cols and not cols[-1]:
+        cols.pop()
+    for _ in range(sum(v < s for col in cols for v in col)):
+        _slide_out(cols, 0, 0)
+    return Tableau(cols)
 
 
 def cell(t: Tableau, limit: int | None = None) -> list[Word]:

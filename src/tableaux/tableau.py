@@ -186,7 +186,9 @@ EMPTY_TABLEAU = Tableau(())
 def make_tableau(columns: Iterable[Iterable[int]]) -> Tableau:
     """Validated construction of a standard tableau (entries exactly {1..n})."""
     t = Tableau(columns)
-    if not t.is_standard:
+    # Validated entries are distinct positive ints, so they are 1..n exactly
+    # when the largest, at the foot of some column, is n.
+    if max((col[-1] for col in t.columns), default=0) != t.n:
         raise InvalidTableauError(
             f"entries are not exactly 1..{t.n}: {sorted(t.entry_set())}"
         )

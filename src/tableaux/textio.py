@@ -11,19 +11,14 @@ accepted on input, prefixed with ``cols:`` and separated by ``|``, e.g.
 
 from __future__ import annotations
 
-import re
-
 from .errors import InvalidTableauError, InvalidWordError
 from .tableau import Tableau, make_tableau, row_text
 from .words import Word
 
-_SEPARATORS = re.compile(r"[\s,]+")
-
 
 def _parse_ints(text: str, error: type[ValueError]) -> list[int]:
-    parts = [p for p in _SEPARATORS.split(text.strip()) if p]
     try:
-        return [int(p) for p in parts]
+        return [int(p) for p in text.replace(",", " ").split()]
     except ValueError:
         raise error(f"cannot parse integers from {text!r}") from None
 

@@ -2,7 +2,11 @@
 
 Repeatedly deleting the corner that holds the current maximum of a
 two-column tableau emits one value per step; read in emission order these
-values form the canonical word of the tableau.  The canonical word maps
+values form the canonical word of the tableau.  On two columns a step
+needs no insertion machinery: when the foot of column 2 holds the maximum,
+it replaces the foot of column 1, whose value is emitted; otherwise the
+foot of column 1 is the maximum and is emitted itself.  The trace is
+built on the two columns as plain lists.  The canonical word maps
 back to the tableau under RS insertion and is the unique weak-order
 maximum of its cell, which turns tableau comparison into a single word
 comparison (``fast_leq``).  The paper's membership criterion states the
@@ -32,8 +36,9 @@ from dataclasses import dataclass
 from types import MappingProxyType
 from typing import Mapping, NamedTuple
 
+from .config import CACHE_BOUND
 from .errors import InvalidTableauError
-from .rsjdt import delete_corner, project_tableau
+from .rsjdt import project_tableau
 from .tableau import Tableau, row_text
 from .words import Word, reverse, weak_leq
 
@@ -82,32 +87,31 @@ def _require_two_rows(t: Tableau) -> None:
         raise InvalidTableauError("two-row machinery needs standard tableaux")
 
 
-@functools.lru_cache(maxsize=None)
+@functools.lru_cache(maxsize=CACHE_BOUND)
 def canonical_word(t: Tableau) -> CanonicalWord:
     """The canonical cell representative of a two-column tableau, with its
     deletion trace.  RS insertion of the word reproduces the tableau."""
     _require_two_columns(t)
     n = t.n
+    first, second = list(t.column(1)), list(t.column(2))
     snapshots: dict[int, Tableau] = {n: t}
     steps: list[TraceStep] = []
-    second: dict[int, tuple[Tableau, int]] = {}
+    pushed: dict[int, tuple[Tableau, int]] = {}
     current = t
-    emitted: list[int] = []
     for i in range(n, 0, -1):
-        col = max(range(1, len(current.columns) + 1), key=current.bottom)
-        z = current.bottom(col)
-        smaller, a = delete_corner(current, col)
-        if col == 2:
-            second[z] = (current, a)
+        if second and second[-1] > first[-1]:
+            z = second.pop()
+            a, first[-1] = first[-1], z
+            pushed[z] = (current, a)
+        else:
+            z = a = first.pop()
         steps.append(TraceStep(index=i, largest=z, emitted=a))
-        emitted.append(a)
         if i > 1:
-            snapshots[i - 1] = smaller
-        current = smaller
-    word = Word(emitted, check=False)
+            current = snapshots[i - 1] = Tableau((first, second))
+    word = Word([step.emitted for step in steps], check=False)
     return CanonicalWord(word=word, trace=DeletionTrace(
         steps=tuple(steps), snapshots=MappingProxyType(snapshots),
-        second_column=MappingProxyType(second),
+        second_column=MappingProxyType(pushed),
     ))
 
 
@@ -124,6 +128,10 @@ def runs(t: Tableau) -> list[tuple[int, int]]:
     """Maximal consecutive runs of the second column's entries, ascending,
     as (start, extra) pairs covering {start, ..., start + extra}."""
     _require_two_columns(t)
+    return _runs(t)
+
+
+def _runs(t: Tableau) -> list[tuple[int, int]]:
     out: list[tuple[int, int]] = []
     for x in t.column(2):
         if out and out[-1][0] + out[-1][1] + 1 == x:
@@ -137,6 +145,10 @@ def move_to_first_column(t: Tableau, x: int) -> Tableau:
     """Move the second-column entry x into the first column at its ordered
     position; always yields a tableau."""
     _require_two_columns(t)
+    return _move_to_first_column(t, x)
+
+
+def _move_to_first_column(t: Tableau, x: int) -> Tableau:
     col2 = t.column(2)
     if x not in col2:
         raise InvalidTableauError(f"entry {x} not in the second column")
@@ -148,14 +160,14 @@ def move_to_first_column(t: Tableau, x: int) -> Tableau:
 def cover(t: Tableau) -> list[Tableau]:
     """Immediate successors in the (coincident) order on the two-column
     family, by the explicit run-top description."""
-    _require_two_columns(t)
+    # canonical_word checks two-columnness; a cached trace was checked when built.
     trace = canonical_word(t).trace
     out = []
-    for start, extra in runs(t):
+    for start, extra in _runs(t):
         x = start + extra
         snapshot, _ = trace.second_column[x]
         if project_tableau(t, 1, x) == snapshot:
-            out.append(move_to_first_column(t, x))
+            out.append(_move_to_first_column(t, x))
     return sorted(out, key=row_text)
 
 

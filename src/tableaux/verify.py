@@ -97,7 +97,11 @@ def _word_rows(n: int, nodes) -> list[int]:
 
 
 def _pair_rows(nodes, leq) -> list[int]:
-    """A relation given pair by pair, as rows: bit j of row k is ``leq(nodes[k], nodes[j])``."""
+    """A relation given pair by pair, as rows: bit j of row k is ``leq(nodes[k], nodes[j])``.
+    The two-column relations read each node's canonical word through a cache
+    of ``CACHE_BOUND`` = 256 entries, so they build one trace per node while
+    the family fits: C(10, 5) = 252 < 256 nodes at n = 10.  A larger family
+    would cycle through the cache and miss on every pair."""
     return [sum(1 << j for j, s in enumerate(nodes) if leq(t, s)) for t in nodes]
 
 

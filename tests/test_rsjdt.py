@@ -27,6 +27,7 @@ from tableaux import (
     weak_leq,
 )
 from tableaux.rsjdt import all_cells
+from tableaux.tableau import map_entries
 
 
 class TestColumnInsertion:
@@ -267,6 +268,35 @@ class TestProjection:
             for s, t in windows:
                 projected_word = tuple(v for v in w.entries if s <= v <= t)
                 assert project_tableau(image, s, t) == rs_tableau(projected_word)
+
+    @pytest.mark.parametrize("n", range(2, 8))
+    def test_restriction_equals_jdt_removal(self, n):
+        # The projection restricts to the entries <= e and slides from the
+        # top-left cell; the general route slides out every outside entry.
+        for t in all_tableaux(n):
+            for s in range(1, n):
+                for e in range(s + 1, n + 1):
+                    outside = [v for v in range(1, n + 1) if v < s or v > e]
+                    assert project_tableau(t, s, e) == jdt_remove(t, outside)
+
+    @pytest.mark.parametrize("n", range(2, 7))
+    def test_restriction_on_other_alphabets(self, n):
+        # Windows reaching past the alphabet or holding no entry are fine
+        # off the standard alphabet; the result stays unrelabeled.
+        rng = random.Random(4100 + n)
+        for t in all_tableaux(n):
+            alphabet = sorted(rng.sample(range(1, 4 * n), n))
+            sparse = map_entries(t, dict(zip(range(1, n + 1), alphabet)))
+            top = alphabet[-1] + 1
+            for s in range(1, top):
+                for e in range(s + 1, top + 1):
+                    outside = [v for v in alphabet if v < s or v > e]
+                    assert project_tableau(sparse, s, e) == jdt_remove(sparse, outside)
+
+    def test_worked_other_alphabet(self):
+        t = Tableau([(2, 5, 9), (4, 7), (8,)])
+        assert row_text(project_tableau(t, 3, 8)) == "4 7 8; 5"
+        assert project_tableau(t, 10, 12) == Tableau(())
 
     @pytest.mark.parametrize("n", range(2, 7))
     def test_adjacent_window_is_domino(self, n):

@@ -10,6 +10,7 @@ import sys
 from pathlib import Path
 
 import tableaux
+from tableaux.config import CACHE_BOUND
 
 SOURCES = sorted(Path(tableaux.__file__).parent.glob("*.py"))
 
@@ -66,6 +67,48 @@ def test_only_orders_names_base_rows():
     found = sorted(path.name for path in SOURCES
                    if path.name != "orders.py" and re.search(r"\bbase_rows\b", path.read_text()))
     assert found == []
+
+
+def cached_functions():
+    """(module, function, decorator text, parameters) of every cached function."""
+    for name, tree in parsed_sources():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.FunctionDef):
+                for decorator in node.decorator_list:
+                    text = ast.unparse(decorator)
+                    if "cache" in text:
+                        params = [(a.arg, a.annotation and ast.unparse(a.annotation))
+                                  for a in node.args.args]
+                        yield name, node.name, text, params
+
+
+def test_caches_keyed_by_tableaux_are_bounded():
+    # A cache keyed by a tableau grows with every fresh input, so it holds at
+    # most CACHE_BOUND entries; only caches keyed by sizes may stay unbounded.
+    bounded, unbounded, other = set(), set(), []
+    for module, name, text, params in cached_functions():
+        by_size = params[0][0] == "n" and all(ann in ("int", "int | None") for _, ann in params)
+        if text == "functools.lru_cache(maxsize=CACHE_BOUND)":
+            bounded.add(name)
+        elif text == "functools.lru_cache(maxsize=None)" and by_size:
+            unbounded.add(name)
+        else:
+            other.append(f"{module}:{name} {text}")
+    assert other == []
+    assert bounded == {"_chain_vector", "chain_profile", "canonical_word"}
+    assert unbounded == {"_standard_tableaux", "_duflo_poset", "_duflo_base", "_chain_poset"}
+    for fn in (tableaux.orders._chain_vector, tableaux.orders.chain_profile,
+               tableaux.twocol.canonical_word):
+        assert fn.cache_info().maxsize == CACHE_BOUND == 256
+
+
+def test_criterion_reads_each_word_once():
+    # The pair suites read canonical words through the bounded cache; they
+    # stay linear in the family only while it fits (126 nodes at n = 9).
+    tableaux.twocol.canonical_word.cache_clear()
+    (check,) = tableaux.run_suite(9, "criterion").checks
+    assert check.passed and check.population == 126 ** 2
+    assert tableaux.twocol.canonical_word.cache_info().misses == 126
 
 
 def imported_modules(tree):

@@ -37,6 +37,14 @@ class TestWordText:
         with pytest.raises(InvalidWordError):
             parse_word("")
 
+    def test_garbage_message(self):
+        with pytest.raises(InvalidWordError) as raised:
+            parse_word("[2,x,1]")
+        assert str(raised.value) == "cannot parse integers from '2,x,1'"
+
+    def test_tabs_and_newlines(self):
+        assert parse_word("[2,\t5\n1 4,3]") == Word([2, 5, 1, 4, 3])
+
     def test_invalid_word(self):
         with pytest.raises(InvalidWordError, match="duplicate"):
             parse_word("[1,1]")
@@ -51,6 +59,32 @@ class TestTableauText:
 
     def test_whitespace_tolerance(self):
         assert parse_tableau("  1  3 ;2 4;  5 ") == make_tableau([(1, 2, 5), (3, 4)])
+
+    @pytest.mark.parametrize("text", [
+        "1\t3; 2\t4; 5",
+        "1 3;\n2 4;\n5\n",
+        "1,3; 2,4; 5",
+        "\t1 ,3;2,\t4 ;\n5,",
+        "cols: 1\t2\t5 | 3\t4",
+        "cols:\n1 2 5\n|\n3 4\n",
+        "cols: 1,2,5 | 3,4",
+        "COLS: 1, 2,\t5|3 ,4",
+    ])
+    def test_tabs_newlines_and_commas(self, text):
+        assert parse_tableau(text) == make_tableau([(1, 2, 5), (3, 4)])
+
+    @pytest.mark.parametrize("text, message", [
+        ("1 x; 2", "cannot parse integers from '1 x'"),
+        ("1 3; 2 4.0", "cannot parse integers from ' 2 4.0'"),
+        ("cols: 1 2 | 3 y", "cannot parse integers from ' 3 y'"),
+        ("1 3; 4", "entries are not exactly 1..3: [1, 3, 4]"),
+        ("cols: 2 3 | 5", "entries are not exactly 1..3: [2, 3, 5]"),
+        ("cols: 1\t2 | 4,5", "entries are not exactly 1..4: [1, 2, 4, 5]"),
+    ])
+    def test_pinned_messages(self, text, message):
+        with pytest.raises(InvalidTableauError) as raised:
+            parse_tableau(text)
+        assert str(raised.value) == message
 
     def test_format(self):
         assert format_tableau(make_tableau([(1, 2, 5), (3, 4)])) == "1 3; 2 4; 5"

@@ -11,6 +11,7 @@ from tableaux import (
     cover,
     delete_corner,
     duflo_poset,
+    enumerate_tableaux,
     fast_leq,
     make_tableau,
     move_to_first_column,
@@ -29,6 +30,25 @@ WORKED_T = [(1, 2, 4, 7), (3, 5, 6)]
 
 def two_row(n):
     return [t for t in all_tableaux(n) if len(t.columns[0]) <= 2]
+
+
+def trace_by_corner_deletion(t):
+    """The maximal-entry deletion sequence rebuilt through ``delete_corner``:
+    (emitted values, steps, snapshots, second-column records)."""
+    n, current = t.n, t
+    emitted, steps, snapshots, second = [], [], {n: t}, {}
+    for i in range(n, 0, -1):
+        col = max(range(1, len(current.columns) + 1), key=current.bottom)
+        z = current.bottom(col)
+        smaller, a = delete_corner(current, col)
+        if col == 2:
+            second[z] = (current, a)
+        emitted.append(a)
+        steps.append((i, z, a))
+        if i > 1:
+            snapshots[i - 1] = smaller
+        current = smaller
+    return emitted, steps, snapshots, second
 
 
 class TestCanonicalWord:
@@ -96,6 +116,22 @@ class TestCanonicalWord:
             for y in cell(t):
                 assert weak_leq(y, top)
 
+
+    @pytest.mark.parametrize("n", range(0, 10))
+    def test_trace_equals_corner_deletion(self, n):
+        for t in enumerate_tableaux(n, max_columns=2, limit=n):
+            emitted, steps, snapshots, second = trace_by_corner_deletion(t)
+            word, trace = canonical_word(t)
+            assert word.entries == tuple(emitted)
+            assert trace.steps == tuple(steps)
+            assert dict(trace.snapshots) == snapshots
+            assert dict(trace.second_column) == second
+
+    @pytest.mark.parametrize("n", range(1, 10))
+    def test_two_row_word_equals_corner_deletion(self, n):
+        for t in enumerate_tableaux(n, max_columns=2, limit=n):
+            emitted, *_ = trace_by_corner_deletion(t)
+            assert two_row_canonical_word(t.transpose()).entries == tuple(reversed(emitted))
 
     def test_cached_trace_is_read_only(self):
         t = make_tableau([(1, 2, 4), (3, 5)])
