@@ -6,10 +6,10 @@ two defaults, one ceiling.  Limits can be raised per call (``limit=``), or
 process-wide through the ``TABLEAUX_LIMIT_N`` environment variable, but
 never past ``HARD_CEILING``.  Word and tableau enumeration and the chain
 poset default to ``ENUM_DEFAULT``; cells and the Duflo poset default to
-``CELL_DEFAULT``.  Of these builds only the Duflo poset pays for words, about
-half of the n!: the 196054 of 9! = 362880 with at least half of the
-inversions, where it takes under two seconds.  Tableaux (2620 at n = 9),
-cells and the two-column family (126) grow box by box at their own cost.
+``CELL_DEFAULT``.  Of these builds only word enumeration pays for the n!
+words.  Tableaux (2620 at n = 9), cells and the two-column family (126)
+grow box by box at their own cost, and the Duflo poset grows its cover
+pairs on tableaux (22844 distinct pairs at n = 9, built in about 0.2 s).
 
 ``CACHE_BOUND`` caps every cache keyed by a tableau (chain vectors and
 profiles, canonical words); caches keyed by sizes alone are not bounded.

@@ -10,18 +10,26 @@ by sliding 1 out, so a batch shares one slide per distinct sub-tableau.
 
 Duflo order: the relation induced on tableaux from the weak right order on
 words through their cells.  The base relation ("some word of the first cell
-is below some word of the second") comes from a sweep over the words, one
-inversion layer at a time from the longest word down, carrying per word the
-tableaux whose cells meet its weak-order up-set.  The build sweeps only the
-words with at least h = floor(N / 2) of the N = n(n - 1) / 2 inversions.
-Reversal turns the weak order upside down and transposes the insertion
-tableau, so a base pair (T, S) from words w <= v is either swept (w has at
-least h inversions), or the transpose (S^t, T^t) of a swept pair (v has at
-most N - h), or joined through a word m with h inversions on a chain from w
-to v, with (T(w), T(m)) of the second kind and (T(m), T(v)) of the first.
-The swept pairs and their transposes thus have the transitive closure of the
-whole base relation, which is not transitive itself from n = 5 on (175
-against 177 pairs at n = 5, 953 against 987 at n = 6).  Both posets are
+is below some word of the second") is not transitive from n = 5 on (175
+against 177 pairs at n = 5, 953 against 987 at n = 6), and only its closure
+is built.  The weak order is generated by its covers w < w s_a, where
+w_a < w_{a+1}, so the Duflo order is the closure of the pairs
+(T(w), T(w s_a)): each is a base pair, and a base pair from words w <= v is
+joined by the pairs along a chain of covers from w to v.  These pairs need
+no word.  Read w from the right: T(w) and T(w s_a) both arise from
+T(w_{a+2} ... w_n), by inserting w_{a+1} then w_a, or w_a then w_{a+1}, and
+then the same letters w_{a-1}, ..., w_1 into both.  RS commutes with
+order-preserving relabelling (Schensted 1961), so every step is taken on
+standard tableaux: inserting a letter of rank r among the letters so far
+raises the entries >= r by one and inserts r.  A pair of size k is thus a
+pair of size k - 1 with one rank inserted into both tableaux, or a seed,
+ranks q then p (p < q) against p then q inserted into a tableau of size
+k - 2.  Standardizing maps each word with an ascent to exactly one such
+path, so the pairs of size n are exactly the cover pairs, grown at the cost
+of the distinct pairs per level rather than of the n! words.  The whole
+base relation is a lazy read (``base_rows``) by a sweep over all the words,
+one inversion layer at a time from the longest word down, carrying per word
+the tableaux whose cells meet its weak-order up-set.  Both posets are
 checked and Hasse-reduced through a linear extension, one bitset operation
 per cover.
 
@@ -42,7 +50,7 @@ from typing import Callable, Mapping, Sequence
 from .config import CACHE_BOUND, CELL_DEFAULT, ENUM_DEFAULT, check_limit
 from .errors import InvalidTableauError
 from .rsjdt import _insert_columns, _slide_out
-from .tableau import ColumnShape, Tableau, enumerate_tableaux, row_text
+from .tableau import ColumnShape, Tableau, _standard_tableaux, enumerate_tableaux, row_text
 
 
 class Verdict(enum.Enum):
@@ -284,37 +292,63 @@ def _sweep_layer(n: int, layer: dict[int, int], known: dict[int, int],
     return below
 
 
-def _up_set_sweep(n: int, index: Mapping[tuple[int, ...], int], stop: int) -> list[int]:
-    """Base pairs (T(w), T(v)), w <= v, over the words w with at least
-    ``stop`` inversions, swept one layer at a time from the longest word."""
+def _up_set_sweep(n: int, index: Mapping[tuple[int, ...], int]) -> list[int]:
+    """Base pairs (T(w), T(v)), w <= v, over all n! words, swept one
+    inversion layer at a time from the longest word down to the identity."""
     base = [0] * len(index)
     layer = {int.from_bytes(bytes(range(n, 0, -1)), "little"): 0}
     known: dict[int, int] = {}
-    for inversions in range(n * (n - 1) // 2, stop - 1, -1):
-        layer = _sweep_layer(n, layer, known, index, base, inversions > stop)
+    for inversions in range(n * (n - 1) // 2, -1, -1):
+        layer = _sweep_layer(n, layer, known, index, base, inversions > 0)
     return base
 
 
 @functools.lru_cache(maxsize=None)
 def _duflo_base(n: int) -> tuple[int, ...]:
-    """The whole base relation, from the sweep down to the identity word."""
+    """The whole base relation, read lazily through ``base_rows``: the one
+    route that still sweeps the n! words, and no build calls it."""
     nodes = _duflo_poset(n).nodes
-    return tuple(_up_set_sweep(n, {t.columns: i for i, t in enumerate(nodes)}, 0))
+    return tuple(_up_set_sweep(n, {t.columns: i for i, t in enumerate(nodes)}))
+
+
+def _duflo_edges(n: int) -> set[tuple[int, int]]:
+    """The pairs (T(w), T(w s_a)) over the words w of size n with
+    w_a < w_{a + 1}, as indices into the standard tableaux of size n,
+    grown level by level on tableaux with no word."""
+    # up[k][i][r - 1]: tableau i of size k with its entries >= r raised by
+    # one and r inserted, as an index at size k + 1.
+    up: list[list[tuple[int, ...]]] = []
+    for k in range(n):
+        index = {t.columns: i for i, t in enumerate(_standard_tableaux(k + 1, None))}
+        level = []
+        for t in _standard_tableaux(k, None):
+            grown = []
+            for r in range(1, k + 2):
+                cols = [tuple(v + (v >= r) for v in col) for col in t.columns]
+                _insert_columns(r, cols)
+                grown.append(index[tuple(cols)])
+            level.append(tuple(grown))
+        up.append(level)
+    pairs: set[tuple[int, int]] = set()
+    for k in range(2, n + 1):
+        # The same letter read in front of both words of a pair of size k - 1,
+        # or a seed: q then p (p < q) into T(u), against p then q.
+        last, before = up[k - 1], up[k - 2]
+        pairs = {edge for a, b in pairs for edge in zip(last[a], last[b])}
+        for row in before:
+            for q in range(2, k + 1):
+                for p in range(1, q):
+                    pairs.add((last[row[q - 2]][p - 1], last[row[p - 1]][q - 1]))
+    return pairs
 
 
 @functools.lru_cache(maxsize=None)
 def _duflo_poset(n: int) -> TableauPoset:
     nodes = tuple(enumerate_tableaux(n, limit=n))
-    index = {t.columns: i for i, t in enumerate(nodes)}
-    # The words with at least h inversions, then the transposes of their pairs.
-    base = _up_set_sweep(n, index, n * (n - 1) // 4)
-    tau = [index[t.transpose().columns] for t in nodes]
-    for i, row in enumerate(list(base)):
-        while row:
-            k = (row & -row).bit_length() - 1
-            row ^= 1 << k
-            base[tau[k]] |= 1 << tau[i]
-    rows = _closure(base)
+    rows = [1 << i for i in range(len(nodes))]
+    for a, b in _duflo_edges(n):
+        rows[a] |= 1 << b
+    rows = _closure(rows)
     try:
         hasse = tuple(hasse_reduce(rows))
     except InvalidTableauError as exc:

@@ -193,7 +193,8 @@ def jdt_remove(t: Tableau, entries: Iterable[int]) -> Tableau:
 def project_tableau(t: Tableau, s: int, e: int) -> Tableau:
     """Jeu-de-taquin removal of every entry outside the value range s..e:
     the restriction to the entries <= e, then one slide from the top-left
-    cell per entry below s."""
+    cell per entry below s.  Both keep a tableau valid, so the result is
+    not checked again."""
     if not 1 <= s < e:
         raise InvalidTableauError(f"projection bounds ({s}, {e}) invalid")
     if t.is_standard and e > t.n:
@@ -203,7 +204,7 @@ def project_tableau(t: Tableau, s: int, e: int) -> Tableau:
         cols.pop()
     for _ in range(sum(v < s for col in cols for v in col)):
         _slide_out(cols, 0, 0)
-    return Tableau(cols)
+    return Tableau(cols, check=False)
 
 
 def cell(t: Tableau, limit: int | None = None) -> list[Word]:

@@ -107,7 +107,8 @@ def canonical_word(t: Tableau) -> CanonicalWord:
             z = a = first.pop()
         steps.append(TraceStep(index=i, largest=z, emitted=a))
         if i > 1:
-            current = snapshots[i - 1] = Tableau((first, second))
+            # A deletion step keeps the validated input a tableau.
+            current = snapshots[i - 1] = Tableau((first, second), check=False)
     word = Word([step.emitted for step in steps], check=False)
     return CanonicalWord(word=word, trace=DeletionTrace(
         steps=tuple(steps), snapshots=MappingProxyType(snapshots),

@@ -23,13 +23,14 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
+from typing import Iterator
 
 from .config import CELL_DEFAULT, ENUM_DEFAULT, effective_limit
 from .errors import InvalidTableauError, InvalidWordError, LimitError
 from .orders import _chain_vectors, chain_poset, componentwise_rows, duflo_poset
 from .rsjdt import all_cells, insert
 from .tableau import Tableau, enumerate_tableaux, map_entries, relabel_tableau, row_text
-from .twocol import _require_two_columns, canonical_word, cover, fast_leq, move_to_first_column
+from .twocol import _require_two_columns, canonical_word, cover, move_to_first_column
 from .words import Word, weak_leq
 
 
@@ -91,18 +92,11 @@ def _compare_rows(name: str, n: int, nodes, left, right, order: str) -> CheckRes
 
 def _word_rows(n: int, nodes) -> list[int]:
     """Canonical words compared as rows: a node's row is the AND, over its
-    inversion pairs, of the nodes whose word has that inversion."""
+    inversion pairs, of the nodes whose word has that inversion.  Each word
+    is read once, so a family larger than the ``CACHE_BOUND`` = 256 entries
+    of ``canonical_word`` costs one trace per node, not one per pair."""
     masks = [canonical_word(t).word.inversion_mask() for t in nodes]
     return componentwise_rows([[m >> p & 1 for p in range(n * (n - 1) // 2)] for m in masks])
-
-
-def _pair_rows(nodes, leq) -> list[int]:
-    """A relation given pair by pair, as rows: bit j of row k is ``leq(nodes[k], nodes[j])``.
-    The two-column relations read each node's canonical word through a cache
-    of ``CACHE_BOUND`` = 256 entries, so they build one trace per node while
-    the family fits: C(10, 5) = 252 < 256 nodes at n = 10.  A larger family
-    would cycle through the cache and miss on every pair."""
-    return [sum(1 << j for j, s in enumerate(nodes) if leq(t, s)) for t in nodes]
 
 
 def cover_recursive(t: Tableau) -> list[Tableau]:
@@ -137,17 +131,31 @@ def _cover_rec(t: Tableau) -> set[Tableau]:
 
 def fast_leq_criterion(t: Tableau, s: Tableau) -> bool:
     """The paper's membership criterion (see ``twocol``), equivalent to
-    ``fast_leq`` but needing only s's deletion trace and t's column sets."""
+    ``fast_leq`` but needing only t's column sets and the values s's
+    second-column entries push out, replayed here rather than read from the
+    cached trace of ``canonical_word``."""
     if t.n != s.n:
         raise InvalidTableauError(f"size mismatch: {t.n} vs {s.n}")
     _require_two_columns(t)
-    pushed = canonical_word(s).trace.second_column.values()
-    return set(s.column(2)) <= set(t.column(2)) and all(v in t.column(1) for _, v in pushed)
+    _require_two_columns(s)
+    return set(s.column(2)) <= set(t.column(2)) and all(v in t.column(1) for v in _pushed(s))
+
+
+def _pushed(s: Tableau) -> Iterator[int]:
+    # The deletion trace down to the last second-column entry: the foot of
+    # column 2, when it is the maximum, replaces the foot of column 1.
+    first, second = list(s.column(1)), list(s.column(2))
+    while second:
+        if second[-1] > first[-1]:
+            yield first[-1]
+            first[-1] = second.pop()
+        else:
+            first.pop()
 
 
 def duflo_base_by_scan(n: int) -> tuple[int, ...]:
     """The Duflo base relation by a direct word-pair scan over the cells,
-    independent of the layered sweep in ``duflo_poset``."""
+    independent of the layered word sweep in ``orders``."""
     nodes = tuple(enumerate_tableaux(n, limit=n))
     node_index = {t: i for i, t in enumerate(nodes)}
     cells = all_cells(n)
@@ -192,15 +200,15 @@ def cor312_check(n: int, limit: int | None = None) -> CheckResult:
     canonical-word comparison."""
     poset = duflo_poset(n, limit).restrict(lambda t: len(t.columns) <= 2)
     return _compare_rows("cor312", n, poset.nodes, poset.leq_rows,
-                         _pair_rows(poset.nodes, fast_leq), "duflo-vs-word")
+                         _word_rows(n, poset.nodes), "duflo-vs-word")
 
 
 def criterion_check(n: int, limit: int | None = None) -> CheckResult:
     """The paper's membership criterion equals the canonical-word
     comparison on two-column pairs."""
     nodes = _two_column(n, limit)
-    return _compare_rows("criterion", n, nodes, _pair_rows(nodes, fast_leq_criterion),
-                         _pair_rows(nodes, fast_leq), "criterion-vs-word")
+    rows = [sum(1 << j for j, s in enumerate(nodes) if fast_leq_criterion(t, s)) for t in nodes]
+    return _compare_rows("criterion", n, nodes, rows, _word_rows(n, nodes), "criterion-vs-word")
 
 
 def prop316_check(n: int, limit: int | None = None) -> CheckResult:

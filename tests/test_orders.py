@@ -1,4 +1,5 @@
 import dataclasses
+import functools
 import hashlib
 import random
 
@@ -314,25 +315,53 @@ class TestDufloPoset:
         assert chain_poset(4).base_rows is None
         assert duflo_poset(4).restrict(lambda t: True).base_rows is None
 
-    def test_build_sweeps_only_the_top_half(self, monkeypatch):
-        # The words with at least h = floor(28 / 2) = 14 inversions, and the
-        # whole base relation (the sweep down to 0) is not built.
-        sweep, sweep_layer, stops, visited = orders._up_set_sweep, orders._sweep_layer, [], []
+    def test_build_sweeps_no_words(self, monkeypatch):
+        # The build grows cover pairs on tableaux: no word sweep, and one
+        # insertion per tableau of size k < 8 and rank r = 1..k + 1, that is
+        # the sum of f_k (k + 1) over the tableau counts f_k.  Only the lazy
+        # base_rows sweeps, all 8! words, once.
+        sweep, sweep_layer, insert_columns = (orders._up_set_sweep, orders._sweep_layer,
+                                              orders._insert_columns)
+        sweeps, layers, inserted = [], [], []
 
-        def sweep_spy(n, index, stop):
-            stops.append(stop)
-            return sweep(n, index, stop)
+        def sweep_spy(n, index):
+            sweeps.append(n)
+            return sweep(n, index)
 
         def layer_spy(n, layer, *args):
-            visited.append(len(layer))
+            layers.append(len(layer))
             return sweep_layer(n, layer, *args)
+
+        def insert_spy(j, cols):
+            inserted.append(j)
+            return insert_columns(j, cols)
 
         monkeypatch.setattr(orders, "_up_set_sweep", sweep_spy)
         monkeypatch.setattr(orders, "_sweep_layer", layer_spy)
+        monkeypatch.setattr(orders, "_insert_columns", insert_spy)
+        monkeypatch.setattr(orders, "_duflo_base",
+                            functools.lru_cache(maxsize=None)(orders._duflo_base.__wrapped__))
         p = orders._duflo_poset.__wrapped__(8)
         assert len(p.hasse) == 2498
-        assert stops == [14]
-        assert sum(visited) == sum(mahonian(8)[14:]) == 22078
+        assert sweeps == layers == []
+        counts = [1, 1, 2, 4, 10, 26, 76, 232]
+        assert len(inserted) == sum(f * (k + 1) for k, f in enumerate(counts)) == 2619
+        assert p.base_rows == p.base_rows
+        assert sweeps == [8]
+        assert sum(layers) == sum(mahonian(8)) == 40320
+
+    @pytest.mark.parametrize("n", range(1, 7))
+    def test_edges_are_the_word_covers(self, n):
+        # RS on every word: the pairs (T(w), T(w s_a)) with w_a < w_{a + 1}.
+        index = {t: i for i, t in enumerate(all_tableaux(n))}
+        covers = set()
+        for w in all_words(n):
+            e = w.entries
+            for a in range(n - 1):
+                if e[a] < e[a + 1]:
+                    swapped = e[:a] + (e[a + 1], e[a]) + e[a + 2:]
+                    covers.add((index[rs_tableau(e)], index[rs_tableau(swapped)]))
+        assert orders._duflo_edges(n) == covers
 
     @pytest.mark.parametrize("n", range(1, 7))
     def test_is_partial_order(self, n):
@@ -630,9 +659,11 @@ class TestFinishingLayerOracles:
                 assert outcome(hasse_reduce, relation) is InvalidTableauError
                 assert outcome(pair_loop_hasse, relation) is InvalidTableauError
 
-    @pytest.mark.parametrize("n", range(1, 8))
+    @pytest.mark.parametrize("n", range(1, 9))
     def test_posets_match_oracles(self, n):
-        dp, cp = duflo_poset(n), chain_poset(n)
+        # The closure of the swept base relation against the closure of the
+        # grown cover pairs.
+        dp, cp = duflo_poset(n, limit=n), chain_poset(n, limit=n)
         assert tuple(floyd_warshall_closure(dp.base_rows)) == dp.leq_rows
         for poset in (dp, cp):
             assert list(poset.hasse) == pair_loop_hasse(poset.leq_rows)

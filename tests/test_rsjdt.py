@@ -279,6 +279,15 @@ class TestProjection:
                     outside = [v for v in range(1, n + 1) if v < s or v > e]
                     assert project_tableau(t, s, e) == jdt_remove(t, outside)
 
+    @pytest.mark.parametrize("n", range(2, 8))
+    def test_result_passes_full_validation(self, n):
+        # The projection is built unchecked from a validated tableau.
+        for t in all_tableaux(n):
+            for s in range(1, n):
+                for e in range(s + 1, n + 1):
+                    projected = project_tableau(t, s, e)
+                    assert Tableau(projected.columns) == projected
+
     @pytest.mark.parametrize("n", range(2, 7))
     def test_restriction_on_other_alphabets(self, n):
         # Windows reaching past the alphabet or holding no entry are fine

@@ -69,6 +69,25 @@ def test_only_orders_names_base_rows():
     assert found == []
 
 
+def test_only_the_lazy_base_sweeps_words():
+    # The sweep over all n! words feeds only ``base_rows``, read on demand by
+    # oracles; no build of either poset may call it.
+    found = set()
+
+    def visit(node, where, name):
+        for child in ast.iter_child_nodes(node):
+            inner = child.name if isinstance(child, ast.FunctionDef) else where
+            if (isinstance(child, ast.Name) and child.id == "_up_set_sweep"
+                    or isinstance(child, ast.Attribute) and child.attr == "_up_set_sweep"
+                    or isinstance(child, ast.alias) and child.name == "_up_set_sweep"):
+                found.add((name, where))
+            visit(child, inner, name)
+
+    for name, tree in parsed_sources():
+        visit(tree, None, name)
+    assert found == {("orders.py", "_duflo_base")}
+
+
 def cached_functions():
     """(module, function, decorator text, parameters) of every cached function."""
     for name, tree in parsed_sources():
@@ -103,12 +122,14 @@ def test_caches_keyed_by_tableaux_are_bounded():
 
 
 def test_criterion_reads_each_word_once():
-    # The pair suites read canonical words through the bounded cache; they
-    # stay linear in the family only while it fits (126 nodes at n = 9).
-    tableaux.twocol.canonical_word.cache_clear()
-    (check,) = tableaux.run_suite(9, "criterion").checks
-    assert check.passed and check.population == 126 ** 2
-    assert tableaux.twocol.canonical_word.cache_info().misses == 126
+    # The pair suites read each canonical word once, not once per pair, so
+    # they stay linear in a family larger than the bounded cache.
+    for suite, n, limit, m in (("criterion", 9, None, 126), ("cor312", 8, 8, 70)):
+        tableaux.twocol.canonical_word.cache_clear()
+        (check,) = tableaux.run_suite(n, suite, limit).checks
+        assert check.passed and check.population == m ** 2
+        info = tableaux.twocol.canonical_word.cache_info()
+        assert info.hits + info.misses == info.misses == m
 
 
 def imported_modules(tree):

@@ -127,6 +127,13 @@ class TestCanonicalWord:
             assert dict(trace.snapshots) == snapshots
             assert dict(trace.second_column) == second
 
+    @pytest.mark.parametrize("n", range(0, 9))
+    def test_snapshots_pass_full_validation(self, n):
+        # Snapshots are built unchecked from a validated tableau.
+        for t in enumerate_tableaux(n, max_columns=2, limit=n):
+            for snapshot in canonical_word(t).trace.snapshots.values():
+                assert Tableau(snapshot.columns) == snapshot
+
     @pytest.mark.parametrize("n", range(1, 10))
     def test_two_row_word_equals_corner_deletion(self, n):
         for t in enumerate_tableaux(n, max_columns=2, limit=n):
