@@ -9,7 +9,7 @@ poset default to ``ENUM_DEFAULT``; cells and the Duflo poset default to
 ``CELL_DEFAULT``.  Of these builds only word enumeration pays for the n!
 words.  Tableaux (2620 at n = 9), cells and the two-column family (126)
 grow box by box at their own cost, and the Duflo poset grows its cover
-pairs on tableaux (22844 distinct pairs at n = 9, built in about 0.2 s).
+pairs on tableaux (22844 distinct pairs at n = 9, built in about 0.22 s).
 
 ``CACHE_BOUND`` caps every cache keyed by a tableau (chain vectors and
 profiles, canonical words); caches keyed by sizes alone are not bounded.

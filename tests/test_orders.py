@@ -1,7 +1,11 @@
+import collections
 import dataclasses
 import functools
 import hashlib
 import random
+import re
+import sys
+import types
 
 import pytest
 from hypothesis import given, strategies as st
@@ -98,6 +102,37 @@ def random_order(rng, m):
     for i, row in enumerate(rows):
         out[label[i]] = sum(1 << label[j] for j in range(m) if row >> j & 1)
     return out
+
+
+def off_diagonal(rows):
+    """The pairs (a, b), a != b, of a relation given as row bitmasks."""
+    return {(a, b) for a, row in enumerate(rows) for b in range(len(rows))
+            if a != b and row >> b & 1}
+
+
+# Nodes to name random relations by: 76 tableaux with distinct row texts.
+LABELS = tuple(all_tableaux(6))
+
+
+def check_closure(rows):
+    """``_closure`` on the off-diagonal pairs of ``rows`` against the
+    Floyd-Warshall closure of the reflexive rows: equal when that closure is
+    antisymmetric, else the antisymmetry error naming two mutually
+    reachable nodes, lower index first.  Returns whether it raised."""
+    nodes = LABELS[:len(rows)]
+    closed = floyd_warshall_closure([row | 1 << i for i, row in enumerate(rows)])
+    try:
+        got = orders._closure(nodes, off_diagonal(rows))
+    except RuntimeError as exc:
+        named = re.fullmatch(r"antisymmetry violation in the induced order \((.*) / (.*)\)",
+                             str(exc))
+        index = {row_text(t): i for i, t in enumerate(nodes)}
+        i, j = index[named[1]], index[named[2]]
+        assert i < j and closed[i] >> j & 1 and closed[j] >> i & 1
+        return True
+    assert got == closed
+    assert len(set(closed)) == len(closed)
+    return False
 
 
 def outcome(f, rows):
@@ -390,27 +425,70 @@ class TestDufloPoset:
         assert digest == "b420425407f26fd476d5fea04dee3122e1385787a4dc68b8249b10c922d7943a"
 
     def test_cyclic_base_names_its_tableaux(self, monkeypatch):
-        closure = orders._closure
-
-        def with_cycle(base):
-            base = list(base)
-            base[0] |= 1 << 1
-            base[1] |= 1 << 0
-            return closure(base)
-
-        monkeypatch.setattr(orders, "_closure", with_cycle)
+        # The reverse of the pair (1 2 3, 1 2; 3): a 2-cycle.
+        edges = orders._duflo_edges
+        monkeypatch.setattr(orders, "_duflo_edges", lambda n: edges(n) | {(1, 0)})
         with pytest.raises(RuntimeError, match=r"induced order \(1 2 3 / 1 2; 3\)"):
             orders._duflo_poset.__wrapped__(3)
 
     def test_cycle_in_induced_order_names_its_tableaux(self, monkeypatch):
-        def cyclic(rows):
-            rows = list(rows)
-            rows[0] = rows[1] = rows[0] | rows[1]
-            return rows
-
-        monkeypatch.setattr(orders, "_closure", cyclic)
+        # 0 -> 2 -> 1 -> 0 with the pair (0, 1) dropped: a 3-cycle, no
+        # 2-cycle, and the named nodes are related only through the closure.
+        pairs = orders._duflo_edges(3) - {(0, 1)} | {(2, 1), (1, 0)}
+        assert not any((b, a) in pairs for a, b in pairs if a != b)
+        monkeypatch.setattr(orders, "_duflo_edges", lambda n: pairs)
         with pytest.raises(RuntimeError, match=r"induced order \(1 2 3 / 1 2; 3\)"):
             orders._duflo_poset.__wrapped__(3)
+
+    def test_closure_reads_each_pair_once(self, monkeypatch):
+        # One pass, sinks first: each grown pair is read once, and no line of
+        # the closure runs more than once per pair and node (764 at n = 8).
+        # A sweep repeated until nothing changes runs its inner line once per
+        # pair, or per closed pair (39787), on every sweep.
+        edges, reads, lines = orders._duflo_edges, collections.Counter(), collections.Counter()
+
+        class Spy(set):
+            def __iter__(self):
+                for pair in super().__iter__():
+                    reads[pair] += 1
+                    yield pair
+
+        def count_lines(frame, event, arg):
+            if event == "line":
+                lines[frame.f_code, frame.f_lineno] += 1
+            return count_lines
+
+        code = orders._closure.__code__
+        closure_code = {code, *(c for c in code.co_consts if isinstance(c, types.CodeType))}
+
+        def trace(frame, event, arg):
+            return count_lines if frame.f_code in closure_code else None
+
+        monkeypatch.setattr(orders, "_duflo_edges", lambda n: Spy(edges(n)))
+        before = sys.gettrace()
+        sys.settrace(trace)
+        try:
+            p = orders._duflo_poset.__wrapped__(8)
+        finally:
+            sys.settrace(before)
+        assert sum(reads.values()) == len(reads) == 6002
+        assert sum(a != b for a, b in reads) == 5240
+        assert 5240 <= max(lines.values()) <= 6002 + 764
+        assert p.leq_rows == duflo_poset(8, limit=8).leq_rows
+
+    @pytest.mark.parametrize("n, nodes", [(8, 15), (9, 18)])
+    def test_longest_pair_path(self, n, nodes):
+        # The closure's recursion depth is at most this path's node count.
+        succ = collections.defaultdict(list)
+        for a, b in orders._duflo_edges(n):
+            if a != b:
+                succ[a].append(b)
+
+        @functools.lru_cache(maxsize=None)
+        def longest(a):
+            return 1 + max(map(longest, succ[a]), default=0)
+
+        assert max(map(longest, range(len(duflo_poset(n, limit=n).nodes)))) == nodes
 
     def test_limit(self):
         with pytest.raises(LimitError):
@@ -628,7 +706,21 @@ class TestFinishingLayerOracles:
         for _ in range(100):
             rows = random_order(rng, rng.randrange(0, 14))
             assert hasse_reduce(rows) == pair_loop_hasse(rows)
-            assert orders._closure(rows) == rows
+            assert orders._closure(LABELS[:len(rows)], off_diagonal(rows)) == rows
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_downward_paths(self, seed):
+        # The path m - 1 -> ... -> 0 under random pairs that also point to
+        # lower indices: a sweep from the last node needs a sweep per pair.
+        # Labels flipped, the same holds for a sweep from the first node.
+        rng = random.Random(300 + seed)
+        for m in range(1, 14):
+            rows = [1 << a | (a and 1 << a - 1)
+                    | sum(1 << b for b in range(a) if rng.random() < 0.2) for a in range(m)]
+            flipped = [sum(1 << m - 1 - b for b in range(m) if rows[a] >> b & 1)
+                       for a in reversed(range(m))]
+            assert check_closure(rows) is check_closure(flipped) is False
+            assert orders._closure(LABELS[:m], off_diagonal(rows))[-1] == (1 << m) - 1
 
     @pytest.mark.parametrize("seed", range(4))
     def test_single_bit_corruptions(self, seed):
@@ -641,7 +733,7 @@ class TestFinishingLayerOracles:
             expected = outcome(pair_loop_hasse, rows)
             assert outcome(hasse_reduce, rows) == expected
             raised += expected is InvalidTableauError
-            assert orders._closure(rows) == floyd_warshall_closure(rows)
+            check_closure(rows)
         assert raised > 50
 
     @pytest.mark.parametrize("seed", range(4))
@@ -653,8 +745,8 @@ class TestFinishingLayerOracles:
             cycle = rng.sample(range(m), rng.randrange(2, m + 1))
             for a, b in zip(cycle, cycle[1:] + cycle[:1]):
                 rows[a] |= 1 << b
-            closed = orders._closure(rows)
-            assert closed == floyd_warshall_closure(rows)
+            assert check_closure(rows)
+            closed = floyd_warshall_closure(rows)
             for relation in (rows, closed):
                 assert outcome(hasse_reduce, relation) is InvalidTableauError
                 assert outcome(pair_loop_hasse, relation) is InvalidTableauError
