@@ -30,8 +30,8 @@ of the distinct pairs per level rather than of the n! words, and closed in
 one pass, sinks first, one OR per pair.  The whole base relation is a lazy
 read (``base_rows``) by a sweep over all the words, one inversion layer at a
 time from the longest word down, carrying per word the tableaux whose cells
-meet its weak-order up-set.  Both posets are checked and Hasse-reduced
-through a linear extension, one bitset operation per cover.
+meet its weak-order up-set.  Both posets are checked and Hasse-reduced in
+node order (a linear extension through n = 9), one bitset operation per cover.
 
 The word-pair scan of the base relation and the subspace form of the weak
 order are independent routes; they live in ``verify`` and the tests.
@@ -144,25 +144,30 @@ def chain_leq(t: Tableau, s: Tableau) -> bool:
 
 def hasse_reduce(rows: Sequence[int]) -> list[tuple[int, int]]:
     """Transitive reduction of a finite partial order given as row bitmasks,
-    checked on the way.  In a linear extension (decreasing up-set size, ties
-    by index) an order's rows have no bit below the diagonal, node i's covers
-    come by taking the lowest strict bit k left and clearing row k, and it is
-    transitive exactly when each row is {i} joined with its covers' rows: one
-    bitset operation per pair to re-index, and one per cover to check."""
+    checked on the way.  In a linear extension an order's rows have no bit
+    below the diagonal, node i's covers come by taking the lowest strict bit
+    k left and clearing row k, and it is transitive exactly when each row is
+    {i} joined with its covers' rows: one bitset operation per cover, on the
+    rows as given if each has bit i and none below (both posets' rows do
+    for n <= 9), else after a re-index by decreasing up-set size, one per pair."""
     m = len(rows)
-    order = sorted(range(m), key=lambda i: (-rows[i].bit_count(), i))
-    where = {old: new for new, old in enumerate(order)}
-    ext = [0] * m
+    order: Sequence[int] = range(m)
+    ext = list(rows)
+    if not all(row & (1 << i + 1) - 1 == 1 << i for i, row in enumerate(rows)):
+        order = sorted(order, key=lambda i: (-rows[i].bit_count(), i))
+        where = {old: new for new, old in enumerate(order)}
+        for i, a in enumerate(order):
+            rest, row = rows[a] & (1 << m) - 1, 0
+            while rest:
+                k = rest.bit_length() - 1
+                row |= 1 << where[k]
+                rest ^= 1 << k
+            ext[i] = row
     edges: list[tuple[int, int]] = []
     for i in range(m - 1, -1, -1):
-        a, rest, row = order[i], rows[order[i]], 0
-        if rest >> m:
+        a, row = order[i], ext[i]
+        if rows[a] >> m:
             raise InvalidTableauError(f"relation row {a} names a node beyond the {m} rows")
-        while rest:
-            k = rest.bit_length() - 1
-            row |= 1 << where[k]
-            rest ^= 1 << k
-        ext[i] = row
         if row & ((1 << i + 1) - 1) != 1 << i:
             if not row >> i & 1:
                 raise InvalidTableauError(f"relation not reflexive at {a}")
@@ -324,8 +329,9 @@ def _duflo_base(n: int) -> tuple[int, ...]:
 
 def _duflo_edges(n: int) -> set[tuple[int, int]]:
     """The pairs (T(w), T(w s_a)) over the words w of size n with
-    w_a < w_{a + 1}, as indices into the standard tableaux of size n,
-    grown level by level on tableaux with no word."""
+    w_a < w_{a + 1}, as indices into the standard tableaux of size n, grown
+    level by level on tableaux with no word; a pair with T(w) = T(w s_a)
+    grows only into such pairs, and each level drops them."""
     # up[k][i][r - 1]: tableau i of size k with its entries >= r raised by
     # one and r inserted, as an index at size k + 1.
     up: list[list[tuple[int, ...]]] = []
@@ -345,11 +351,13 @@ def _duflo_edges(n: int) -> set[tuple[int, int]]:
         # The same letter read in front of both words of a pair of size k - 1,
         # or a seed: q then p (p < q) into T(u), against p then q.
         last, before = up[k - 1], up[k - 2]
-        pairs = {edge for a, b in pairs for edge in zip(last[a], last[b])}
+        pairs = {(c, d) for a, b in pairs for c, d in zip(last[a], last[b]) if c != d}
         for row in before:
             for q in range(2, k + 1):
                 for p in range(1, q):
-                    pairs.add((last[row[q - 2]][p - 1], last[row[p - 1]][q - 1]))
+                    c, d = last[row[q - 2]][p - 1], last[row[p - 1]][q - 1]
+                    if c != d:
+                        pairs.add((c, d))
     return pairs
 
 

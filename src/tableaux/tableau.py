@@ -197,7 +197,21 @@ def make_tableau(columns: Iterable[Iterable[int]]) -> Tableau:
 
 def row_text(t: Tableau) -> str:
     """Canonical row-form serialization, e.g. ``1 3; 2 4; 5``."""
-    return "; ".join(" ".join(map(str, row)) for row in t.rows())
+    return "; ".join([" ".join([str(col[r]) for col in t.columns if len(col) > r])
+                      for r in range(len(t.columns[0]) if t.columns else 0)])
+
+
+def _row_key(t: Tableau) -> list[int]:
+    """``row_text`` token by token, entries as numbers: a row separator (0)
+    opens each row and a same-row one (-1) precedes each entry."""
+    key: list[int] = []
+    for r in range(len(t.columns[0]) if t.columns else 0):
+        key.append(0)
+        for col in t.columns:
+            if len(col) <= r:
+                break
+            key += (-1, col[r])
+    return key
 
 
 def tau_tableau(t: Tableau) -> frozenset[int]:
@@ -226,7 +240,7 @@ def map_entries(t: Tableau, mapping: dict[int, int]) -> Tableau:
 def enumerate_tableaux(
     n: int, max_columns: int | None = None, limit: int | None = None
 ) -> Iterator[Tableau]:
-    """All standard tableaux with n boxes, sorted by row-form serialization.
+    """All standard tableaux with n boxes, sorted by row form, entries as numbers.
 
     With ``max_columns`` only tableaux of at most that many columns are
     grown (``max_columns=2`` gives the two-column family), at the cost of
@@ -252,4 +266,4 @@ def _standard_tableaux(n: int, max_columns: int | None) -> tuple[Tableau, ...]:
             elif c == 0 or len(cols[c]) < len(cols[c - 1]):
                 grown.append(Tableau(
                     cols[:c] + (cols[c] + (n,),) + cols[c + 1:], check=False))
-    return tuple(sorted(grown, key=row_text))
+    return tuple(sorted(grown, key=_row_key))

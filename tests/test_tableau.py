@@ -21,7 +21,8 @@ from tableaux import (
     rs_tableau,
     tau_tableau,
 )
-from tableaux.tableau import map_entries, shape_corners, validate_shape
+from tableaux.tableau import (
+    _row_key, _standard_tableaux, map_entries, shape_corners, validate_shape)
 
 INVOLUTIONS = {1: 1, 2: 2, 3: 4, 4: 10, 5: 26, 6: 76, 7: 232}
 
@@ -219,6 +220,22 @@ class TestRelabel:
         assert map_entries(t, {1: 3, 2: 7}) == Tableau([(3, 7)])
 
 
+class TestRowText:
+    @staticmethod
+    def joined_rows(t):
+        return "; ".join(" ".join(map(str, row)) for row in t.rows())
+
+    @pytest.mark.parametrize("n", range(0, 9))
+    def test_equals_the_joined_rows(self, n):
+        for t in all_tableaux(n):
+            assert row_text(t) == self.joined_rows(t)
+
+    def test_non_standard_entries(self):
+        t = Tableau([(3, 12, 40), (7, 15), (11,)])
+        assert row_text(t) == self.joined_rows(t) == "3 7 11; 12 15; 40"
+        assert row_text(Tableau(())) == ""
+
+
 class TestEnumerate:
     @pytest.mark.parametrize("n", range(1, 8))
     def test_count_matches_involutions(self, n):
@@ -261,6 +278,26 @@ class TestEnumerate:
     def test_sorted_by_row_text(self):
         texts = [row_text(t) for t in all_tableaux(5)]
         assert texts == sorted(texts)
+
+    @pytest.mark.parametrize("max_columns", (None, 2))
+    @pytest.mark.parametrize("n", range(0, 10))
+    def test_row_key_gives_the_row_text_order(self, n, max_columns):
+        grown = _standard_tableaux(n, max_columns)
+        assert list(grown) == sorted(grown, key=row_text)
+
+    def test_row_key_compares_entries_as_numbers(self):
+        # As strings "1 10" < "1 9", and "1 10; 2" < "1 2; 3" by the digit 0.
+        nine, ten = Tableau([(1,), (9,)]), Tableau([(1,), (10,)])
+        assert row_text(ten) < row_text(nine)
+        assert _row_key(nine) < _row_key(ten)
+        assert "1 10; 2" == row_text(Tableau([(1, 2), (10,)])) < "1 2; 3"
+        assert _row_key(make_tableau([(1, 3), (2,)])) < _row_key(Tableau([(1, 2), (10,)]))
+
+    def test_row_key_continues_a_row_before_starting_the_next(self):
+        # "1 2 3" before "1 2; 3", also when the continuing entry is larger.
+        row, stacked = make_tableau([(1,), (2,), (3,)]), make_tableau([(1, 3), (2,)])
+        assert _row_key(row) < _row_key(stacked)
+        assert _row_key(Tableau([(1,), (2,), (10,)])) < _row_key(stacked)
 
     def test_limit(self):
         with pytest.raises(LimitError,
