@@ -19,7 +19,7 @@ from __future__ import annotations
 import argparse
 import sys
 
-from .config import CELL_DEFAULT, HARD_CEILING, effective_limit
+from .config import HARD_CEILING, effective_limit
 from .errors import InvalidTableauError, TableauxError
 from .orders import (
     Verdict,
@@ -44,7 +44,7 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument(
         "--limit-n", type=int, default=None, metavar="N",
-        help=f"raise the enumeration caps (hard ceiling {HARD_CEILING})",
+        help=f"lower the enumeration size cap (default and maximum {HARD_CEILING})",
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
@@ -109,7 +109,7 @@ def _cmd_compare(args) -> int:
     # verdicts to answer on their own.
     duflo_known = args.order == "duflo"
     if args.order == "all":
-        duflo_cap = effective_limit(args.limit_n, CELL_DEFAULT)
+        duflo_cap = effective_limit(args.limit_n)
         duflo_known = t.n <= duflo_cap
     verdicts: dict[str, Verdict] = {}
     if duflo_known:

@@ -1,12 +1,10 @@
 """Size limits for the exhaustive enumerations.
 
 Everything in this package is verified by exhaustion over n! words or over
-all tableaux with n boxes, so every enumeration entry point carries a cap:
-two defaults, one ceiling.  Limits can be raised per call (``limit=``), or
+all tableaux with n boxes, so every enumeration entry point carries one
+size cap, ``HARD_CEILING``.  It can be lowered per call (``limit=``), or
 process-wide through the ``TABLEAUX_LIMIT_N`` environment variable, but
-never past ``HARD_CEILING``.  Word and tableau enumeration and the chain
-poset default to ``ENUM_DEFAULT``; cells and the Duflo poset default to
-``CELL_DEFAULT``.  Of these builds only word enumeration pays for the n!
+never raised.  Of the capped builds only word enumeration pays for the n!
 words.  Tableaux (2620 at n = 9), cells and the two-column family (126)
 grow box by box at their own cost, and the Duflo poset grows its cover
 pairs on tableaux (22844 distinct pairs at n = 9, built in about 0.22 s).
@@ -22,18 +20,17 @@ from .errors import LimitError
 ENV_LIMIT = "TABLEAUX_LIMIT_N"
 
 HARD_CEILING = 9
-ENUM_DEFAULT = 8
-CELL_DEFAULT = 7
 
 CACHE_BOUND = 256
 
 
-def effective_limit(limit: int | None, default: int) -> int:
-    """Resolve a size cap from the explicit argument, the environment, or the default."""
+def effective_limit(limit: int | None) -> int:
+    """Resolve the size cap from the explicit argument, the environment, or
+    the ceiling; neither can raise it past the ceiling."""
     if limit is None:
         env = os.environ.get(ENV_LIMIT)
         if env is None:
-            return default
+            return HARD_CEILING
         try:
             limit = int(env)
         except ValueError:
@@ -45,9 +42,9 @@ def effective_limit(limit: int | None, default: int) -> int:
     return min(limit, HARD_CEILING)
 
 
-def check_limit(n: int, what: str, limit: int | None, default: int) -> None:
+def check_limit(n: int, what: str, limit: int | None) -> None:
     """Raise LimitError when ``n`` exceeds the resolved cap for ``what``."""
-    cap = effective_limit(limit, default)
+    cap = effective_limit(limit)
     if n > cap:
         raise LimitError(f"{what} at n={n} exceeds the limit {cap}")
     if n < 0:

@@ -47,10 +47,10 @@ from dataclasses import dataclass, field
 from types import MappingProxyType
 from typing import Callable, Iterable, Mapping, Sequence
 
-from .config import CACHE_BOUND, CELL_DEFAULT, ENUM_DEFAULT, check_limit
+from .config import CACHE_BOUND, check_limit
 from .errors import InvalidTableauError
 from .rsjdt import _insert_columns, _slide_out
-from .tableau import ColumnShape, Tableau, _standard_tableaux, enumerate_tableaux, row_text
+from .tableau import ColumnShape, Tableau, _standard_tableaux, row_text
 
 
 class Verdict(enum.Enum):
@@ -149,7 +149,8 @@ def hasse_reduce(rows: Sequence[int]) -> list[tuple[int, int]]:
     k left and clearing row k, and it is transitive exactly when each row is
     {i} joined with its covers' rows: one bitset operation per cover, on the
     rows as given if each has bit i and none below (both posets' rows do
-    for n <= 9), else after a re-index by decreasing up-set size, one per pair."""
+    for n <= 9, and so do their restrictions: a sub-order of a linear
+    extension is one), else after a re-index by decreasing up-set size."""
     m = len(rows)
     order: Sequence[int] = range(m)
     ext = list(rows)
@@ -271,7 +272,7 @@ def _closure(nodes: Sequence[Tableau], pairs: Iterable[tuple[int, int]]) -> list
 
 def duflo_poset(n: int, limit: int | None = None) -> TableauPoset:
     """The induced weak-order poset on all standard tableaux of size n."""
-    check_limit(n, "Duflo poset", limit, CELL_DEFAULT)
+    check_limit(n, "Duflo poset", limit)
     return _duflo_poset(n)
 
 
@@ -363,7 +364,7 @@ def _duflo_edges(n: int) -> set[tuple[int, int]]:
 
 @functools.lru_cache(maxsize=None)
 def _duflo_poset(n: int) -> TableauPoset:
-    nodes = tuple(enumerate_tableaux(n, limit=n))
+    nodes = _standard_tableaux(n, None)
     rows = _closure(nodes, _duflo_edges(n))
     return TableauPoset(kind="duflo", n=n, nodes=nodes, leq_rows=tuple(rows),
                         hasse=tuple(hasse_reduce(rows)), _base_of=_duflo_base)
@@ -387,13 +388,13 @@ def componentwise_rows(vectors: Sequence[Sequence[int]]) -> list[int]:
 
 def chain_poset(n: int, limit: int | None = None) -> TableauPoset:
     """The chain-order poset on all standard tableaux of size n."""
-    check_limit(n, "chain poset", limit, ENUM_DEFAULT)
+    check_limit(n, "chain poset", limit)
     return _chain_poset(n)
 
 
 @functools.lru_cache(maxsize=None)
 def _chain_poset(n: int) -> TableauPoset:
-    nodes = tuple(enumerate_tableaux(n, limit=n))
+    nodes = _standard_tableaux(n, None)
     rows = componentwise_rows(_chain_vectors(nodes))
     return TableauPoset(kind="chain", n=n, nodes=nodes, leq_rows=tuple(rows),
                         hasse=tuple(hasse_reduce(rows)))

@@ -27,7 +27,7 @@ from bisect import bisect_left
 from types import MappingProxyType
 from typing import Iterable, Mapping, NamedTuple, Sequence
 
-from .config import CELL_DEFAULT, check_limit
+from .config import check_limit
 from .errors import InvalidTableauError
 from .tableau import Tableau, corners, enumerate_tableaux, row_text
 from .words import Word, WordLike
@@ -211,7 +211,7 @@ def cell(t: Tableau, limit: int | None = None) -> list[Word]:
     """All words whose insertion tableau is ``t``, in lexicographic order."""
     if not t.is_standard:
         raise InvalidTableauError("cells are enumerated for standard tableaux")
-    check_limit(t.n, "cell enumeration", limit, CELL_DEFAULT)
+    check_limit(t.n, "cell enumeration", limit)
     return [Word(w, check=False) for w in sorted(_cell_words(t))]
 
 
@@ -230,4 +230,4 @@ def _cell_words(t: Tableau) -> list[tuple[int, ...]]:
 def all_cells(n: int) -> Mapping[Tableau, tuple[Word, ...]]:
     """Words of size n grouped by insertion tableau (lexicographic order),
     as a read-only mapping."""
-    return MappingProxyType({t: tuple(cell(t, limit=n)) for t in enumerate_tableaux(n, limit=n)})
+    return MappingProxyType({t: tuple(cell(t)) for t in enumerate_tableaux(n)})

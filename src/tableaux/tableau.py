@@ -23,7 +23,7 @@ import functools
 import itertools
 from typing import Iterable, Iterator, NamedTuple, Sequence
 
-from .config import ENUM_DEFAULT, check_limit
+from .config import check_limit
 from .errors import InvalidTableauError
 
 ColumnShape = tuple[int, ...]
@@ -246,7 +246,7 @@ def enumerate_tableaux(
     grown (``max_columns=2`` gives the two-column family), at the cost of
     their own number; the result is cached per n and ``max_columns``.
     """
-    check_limit(n, "tableau enumeration", limit, ENUM_DEFAULT)
+    check_limit(n, "tableau enumeration", limit)
     yield from _standard_tableaux(n, max_columns)
 
 

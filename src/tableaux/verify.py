@@ -7,10 +7,9 @@ all nodes of a poset, ...) and reports a pass/fail with a counterexample
 when one exists; pair suites compare relations as rows of bitmasks, and
 ``thm311`` builds both of its rows with no pair loop.  ``SUITES`` records,
 per suite, the sizes its claim covers (the orders coincide up to n = 5; a
-proper extension is sought from n = 6 on) and the default cap of what it
-builds; ``run_suite(n)`` runs and times every suite whose claim covers n
-and whose cap, resolved from ``limit``, admits n.  ``limit`` also caps the
-suites' builds.
+proper extension is sought from n = 6 on); ``run_suite(n)`` runs and times
+every suite whose claim covers n, when the size cap, resolved from
+``limit``, admits n.  ``limit`` also caps the suites' builds.
 
 The independent routes re-derive a production result another way: the
 two-column cover by recursion, the paper's membership criterion, the Duflo
@@ -25,7 +24,7 @@ import time
 from dataclasses import dataclass, field
 from typing import Iterator
 
-from .config import CELL_DEFAULT, ENUM_DEFAULT, effective_limit
+from .config import effective_limit
 from .errors import InvalidTableauError, InvalidWordError, LimitError
 from .orders import _chain_vectors, chain_poset, componentwise_rows, duflo_poset
 from .rsjdt import all_cells, insert
@@ -70,8 +69,7 @@ class VerifyReport:
 
 
 def _two_column(n: int, limit: int | None) -> list[Tableau]:
-    # A small family: without an explicit limit, the hard ceiling caps it.
-    return list(enumerate_tableaux(n, max_columns=2, limit=n if limit is None else limit))
+    return list(enumerate_tableaux(n, max_columns=2, limit=limit))
 
 
 def _first_pair(rows: list[int], nodes, order: str) -> str | None:
@@ -156,7 +154,7 @@ def _pushed(s: Tableau) -> Iterator[int]:
 def duflo_base_by_scan(n: int) -> tuple[int, ...]:
     """The Duflo base relation by a direct word-pair scan over the cells,
     independent of the layered word sweep in ``orders``."""
-    nodes = tuple(enumerate_tableaux(n, limit=n))
+    nodes = tuple(enumerate_tableaux(n))
     node_index = {t: i for i, t in enumerate(nodes)}
     cells = all_cells(n)
     rows = [0] * len(nodes)
@@ -249,14 +247,14 @@ def extension_check(n: int, limit: int | None = None) -> CheckResult:
                        missing is None and witness is not None, missing or witness)
 
 
-# name -> (check, (first, last or None) size its claim covers, default cap)
+# name -> (check, (first, last or None) size its claim covers)
 SUITES = {
-    "thm311": (thm311_check, (1, None), ENUM_DEFAULT),
-    "cor312": (cor312_check, (1, None), CELL_DEFAULT),
-    "prop316": (prop316_check, (1, None), CELL_DEFAULT),
-    "coincide": (coincide_check, (1, 5), CELL_DEFAULT),
-    "extension": (extension_check, (6, None), CELL_DEFAULT),
-    "criterion": (criterion_check, (1, None), ENUM_DEFAULT),
+    "thm311": (thm311_check, (1, None)),
+    "cor312": (cor312_check, (1, None)),
+    "prop316": (prop316_check, (1, None)),
+    "coincide": (coincide_check, (1, 5)),
+    "extension": (extension_check, (6, None)),
+    "criterion": (criterion_check, (1, None)),
 }
 
 
@@ -264,18 +262,11 @@ def run_suite(n: int, suite: str = "all", limit: int | None = None) -> VerifyRep
     report = VerifyReport(n=n)
     start = time.perf_counter()
     if suite == "all":
-        caps = {name: effective_limit(limit, default)
-                for name, (_, (first, last), default) in SUITES.items()
-                if first <= n <= (last or n)}
-        selected = [name for name, cap in caps.items() if n <= cap]
-        if not selected:
-            # One limit resolves every cap alike; only the defaults differ.
-            distinct, under = set(caps.values()), ""
-            if len(distinct) == 1:
-                under = f" under the limit {min(distinct)}"
-            elif distinct:
-                listed = ", ".join(f"{name} {cap}" for name, cap in caps.items())
-                under = f" under the default caps ({listed})"
+        selected = [name for name, (_, (first, last)) in SUITES.items()
+                    if first <= n <= (last or n)]
+        cap = effective_limit(limit)
+        if not selected or n > cap:
+            under = f" under the limit {cap}" if selected else ""
             raise LimitError(f"no verification suite applies at n={n}{under}")
     else:
         if suite not in SUITES:

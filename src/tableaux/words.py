@@ -18,7 +18,7 @@ from __future__ import annotations
 import itertools
 from typing import Iterable, Iterator, Sequence
 
-from .config import ENUM_DEFAULT, check_limit
+from .config import check_limit
 from .errors import InvalidWordError
 
 WordLike = Sequence[int]
@@ -217,6 +217,6 @@ def relabel_word(seq: WordLike) -> Word:
 
 def enumerate_words(n: int, limit: int | None = None) -> Iterator[Word]:
     """All n! words of size n, in lexicographic order."""
-    check_limit(n, "word enumeration", limit, ENUM_DEFAULT)
+    check_limit(n, "word enumeration", limit)
     for perm in itertools.permutations(range(1, n + 1)):
         yield Word(perm, check=False)

@@ -61,10 +61,16 @@ class TestCompare:
         assert "mismatch" in err
 
     def test_duflo_beyond_limit_refused(self, capsys):
-        big = "1 2; 3 4; 5 6; 7 8"
+        big = "1 2; 3 4; 5 6; 7 8; 9 10"
         code, _, err = run(capsys, "compare", big, big, "--order", "duflo")
         assert code == 2
-        assert "limit" in err
+        assert "limit 9" in err
+
+    def test_duflo_at_the_ceiling_by_default(self, capsys):
+        code, out, _ = run(capsys, "compare", "1 2 3; 4 5 6; 7 8 9", "1 2 5; 3 6 8; 4 7 9")
+        assert code == 0
+        assert out == ("duflo: Incomparable\nchain: Less\n"
+                       "geometric: undetermined (between duflo and chain)\n")
 
     def test_proper_extension_pair_not_flagged(self, capsys):
         # chain relates this wide pair, duflo does not; that is expected
@@ -75,17 +81,17 @@ class TestCompare:
         assert "geometric: undetermined" in out
 
     def test_all_beyond_duflo_cap_keeps_chain_and_fast(self, capsys):
-        code, out, _ = run(capsys, "compare", "1 2; 3 4; 5 6; 7 8",
-                           "1 2; 3 4; 5 6; 7; 8")
+        code, out, _ = run(capsys, "compare", "1 2; 3 4; 5 6; 7 8; 9 10",
+                           "1 2; 3 4; 5 6; 7 8; 9; 10")
         assert code == 0
-        assert out == ("duflo: unavailable (limit 7)\nchain: Less\nfast: Less\n"
+        assert out == ("duflo: unavailable (limit 9)\nchain: Less\nfast: Less\n"
                        "geometric: undetermined (duflo unavailable)\n")
 
     def test_all_beyond_duflo_cap_wide_pair(self, capsys):
-        code, out, _ = run(capsys, "compare", "1 2 3 4; 5 6 7 8",
-                           "1 2 3 7; 4 8; 5; 6")
+        code, out, _ = run(capsys, "compare", "1 2 3 4 5; 6 7 8 9 10",
+                           "1 2 3 4 9; 5 10; 6; 7; 8")
         assert code == 0
-        assert out.splitlines()[:2] == ["duflo: unavailable (limit 7)", "chain: Less"]
+        assert out.splitlines()[:2] == ["duflo: unavailable (limit 9)", "chain: Less"]
         assert "fast:" not in out
 
 
@@ -218,9 +224,9 @@ class TestPoset:
         assert err.startswith("error: ") and "missing" in err
 
     def test_limit(self, capsys):
-        code, _, err = run(capsys, "poset", "9", "--kind", "duflo")
+        code, _, err = run(capsys, "poset", "10", "--kind", "duflo")
         assert code == 2
-        assert "limit" in err
+        assert "limit 9" in err
 
 
 class TestVerify:
@@ -256,6 +262,14 @@ class TestVerify:
         assert code == 2
         assert "limit 6" in err
 
+    @pytest.mark.parametrize("suite", ["thm311", "criterion"])
+    def test_two_column_suites_obey_the_cap(self, capsys, monkeypatch, suite):
+        code, _, err = run(capsys, "--limit-n", "5", "verify", "6", "--suite", suite)
+        assert code == 2 and "limit 5" in err
+        monkeypatch.setenv("TABLEAUX_LIMIT_N", "5")
+        code, _, err = run(capsys, "verify", "6", "--suite", suite)
+        assert code == 2 and "limit 5" in err
+
     def test_limit_n_raises_the_suites_cap(self, capsys, monkeypatch):
         monkeypatch.setenv("TABLEAUX_LIMIT_N", "5")
         code, _, err = run(capsys, "verify", "6", "--suite", "cor312")
@@ -265,10 +279,13 @@ class TestVerify:
         assert "PASS cor312 n=6" in out
 
     def test_limit_n_widens_the_default_selection(self, capsys):
-        code, out, _ = run(capsys, "--limit-n", "8", "verify", "8")
-        assert code == 0
-        assert [line.split()[1] for line in out.splitlines() if line.startswith("PASS")] == [
-            "thm311", "cor312", "prop316", "extension", "criterion"]
+        # With no flag, verify 8 and verify 9 run at the ceiling as well.
+        for argv in (("--limit-n", "8", "verify", "8"), ("verify", "8"), ("verify", "9")):
+            code, out, _ = run(capsys, *argv)
+            assert code == 0
+            assert [line.split()[1] for line in out.splitlines()
+                    if line.startswith("PASS")] == [
+                "thm311", "cor312", "prop316", "extension", "criterion"]
 
     def test_limit_n_below_n_selects_nothing(self, capsys):
         code, _, err = run(capsys, "--limit-n", "6", "verify", "7")
@@ -278,9 +295,9 @@ class TestVerify:
     def test_no_suite_names_the_cap(self, capsys):
         _, _, err = run(capsys, "--limit-n", "6", "verify", "7")
         assert "no verification suite applies at n=7 under the limit 6" in err
-        _, _, err = run(capsys, "verify", "9")
-        assert "n=9 under the default caps (thm311 8, cor312 7, prop316 7" in err
+        _, _, err = run(capsys, "verify", "10")
+        assert "no verification suite applies at n=10 under the limit 9" in err
 
     def test_unknown_suite_size(self, capsys):
-        code, _, err = run(capsys, "verify", "9")
+        code, _, err = run(capsys, "verify", "10")
         assert code == 2

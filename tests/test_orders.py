@@ -318,8 +318,9 @@ class TestChainPoset:
         assert len(calls) <= sum(len(all_tableaux(k)) for k in range(3, 9)) == 1112
 
     def test_default_limit(self):
-        with pytest.raises(LimitError, match=r"^chain poset at n=9 exceeds the limit 8$"):
-            chain_poset(9)
+        with pytest.raises(LimitError, match=r"^chain poset at n=10 exceeds the limit 9$"):
+            chain_poset(10)
+        assert chain_poset(9) is chain_poset(9, limit=9)
 
     def test_pinned_at_9(self):
         p = chain_poset(9, limit=9)
@@ -504,8 +505,10 @@ class TestDufloPoset:
     def test_limit(self):
         with pytest.raises(LimitError):
             duflo_poset(10, limit=10)
+        with pytest.raises(LimitError, match=r"^Duflo poset at n=10 exceeds the limit 9$"):
+            duflo_poset(10)
         with pytest.raises(LimitError, match=r"^Duflo poset at n=8 exceeds the limit 7$"):
-            duflo_poset(8)
+            duflo_poset(8, limit=7)
 
     def test_cached_poset_is_read_only(self):
         p = duflo_poset(4)
@@ -799,6 +802,8 @@ class TestFinishingLayerOracles:
 
         monkeypatch.setattr(orders, "sorted", spy, raising=False)
         duflo, chain = orders._duflo_poset.__wrapped__(n), orders._chain_poset.__wrapped__(n)
+        for poset in (duflo, chain):
+            poset.restrict(lambda t: len(t.columns) <= 2)
         assert calls == []
         assert duflo.hasse == duflo_poset(n, limit=n).hasse
         assert chain.hasse == chain_poset(n, limit=n).hasse

@@ -369,11 +369,21 @@ class TestCells:
     def test_limit(self):
         from tableaux.errors import LimitError
 
-        big = rs_tableau(Word(range(8, 0, -1)))
+        big = rs_tableau(Word(range(10, 0, -1)))
         with pytest.raises(LimitError,
-                           match=r"^cell enumeration at n=8 exceeds the limit 7$"):
+                           match=r"^cell enumeration at n=10 exceeds the limit 9$"):
             cell(big)
-        assert cell(big, limit=8) == [Word(range(8, 0, -1))]
+        with pytest.raises(LimitError):
+            cell(big, limit=10)
+        assert cell(rs_tableau(Word(range(9, 0, -1)))) == [Word(range(9, 0, -1))]
+
+    def test_all_cells_obeys_the_env_limit(self, monkeypatch):
+        from tableaux.errors import LimitError
+
+        monkeypatch.setenv("TABLEAUX_LIMIT_N", "5")
+        with pytest.raises(LimitError, match=r"at n=6 exceeds the limit 5$"):
+            all_cells(6)
+        assert len(all_cells(5)) == 26
 
 
 class TestWordMonotonicityThroughRS:

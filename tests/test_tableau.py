@@ -301,8 +301,8 @@ class TestEnumerate:
 
     def test_limit(self):
         with pytest.raises(LimitError,
-                           match=r"^tableau enumeration at n=9 exceeds the limit 8$"):
-            list(enumerate_tableaux(9))
+                           match=r"^tableau enumeration at n=10 exceeds the limit 9$"):
+            list(enumerate_tableaux(10))
 
     def test_cached_tableaux_are_read_only(self):
         before = tuple(enumerate_tableaux(3))

@@ -282,8 +282,8 @@ class TestEnumerateWords:
 
     def test_limit(self):
         with pytest.raises(LimitError,
-                           match=r"^word enumeration at n=9 exceeds the limit 8$"):
-            list(enumerate_words(9))
+                           match=r"^word enumeration at n=10 exceeds the limit 9$"):
+            list(enumerate_words(10))
         with pytest.raises(LimitError):
             list(enumerate_words(12, limit=12))
 
