@@ -31,7 +31,6 @@ from .orders import (
     poset_to_json,
 )
 from .rsjdt import cell, jdt_remove, project_tableau, rs_tableau
-from .tableau import Tableau
 from .textio import format_tableau, format_word, parse_tableau, parse_word
 from .twocol import canonical_word, cover, fast_leq, two_row_canonical_word
 from .verify import SUITES, run_suite
@@ -101,10 +100,6 @@ def _cmd_compare(args) -> int:
         raise InvalidTableauError(f"size mismatch: {t.n} vs {s.n}")
     two_col = len(t.columns) <= 2 and len(s.columns) <= 2
 
-    def duflo_leq(a: Tableau, b: Tableau) -> bool:
-        poset = duflo_poset(a.n, limit=args.limit_n)
-        return poset.leq(a, b)
-
     # Under --order all, a size beyond the Duflo cap leaves the other
     # verdicts to answer on their own.
     duflo_known = args.order == "duflo"
@@ -113,7 +108,7 @@ def _cmd_compare(args) -> int:
         duflo_known = t.n <= duflo_cap
     verdicts: dict[str, Verdict] = {}
     if duflo_known:
-        verdicts["duflo"] = compare(t, s, duflo_leq)
+        verdicts["duflo"] = compare(t, s, duflo_poset(t.n, limit=args.limit_n).leq)
     if args.order in ("chain", "all"):
         verdicts["chain"] = compare(t, s, chain_leq)
     if args.order in ("fast", "all"):

@@ -88,12 +88,14 @@ def insert(j: int, t: Tableau) -> Tableau:
 
 
 def _letters(w: Word | WordLike) -> tuple[int, ...]:
-    # A Word is a permutation already; a plain sequence must not repeat a letter.
+    # A Word is a permutation already; a plain sequence must hold distinct positive ints.
     if isinstance(w, Word):
         return w.entries
     entries = tuple(w)
     if len(set(entries)) != len(entries):
         raise InvalidTableauError(f"letters must be distinct: {entries}")
+    if any(type(v) is not int or v < 1 for v in entries):
+        raise InvalidTableauError(f"letters must be positive integers: {entries}")
     return entries
 
 

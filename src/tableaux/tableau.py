@@ -101,15 +101,15 @@ class Tableau:
         for col in self.columns:
             if not col:
                 raise InvalidTableauError("empty interior column")
-            for a, b in zip(col, col[1:]):
-                if a >= b:
-                    raise InvalidTableauError(f"column not increasing: {col}")
             for v in col:
-                if not isinstance(v, int) or v < 1:
+                if type(v) is not int or v < 1:
                     raise InvalidTableauError(f"entries must be positive integers: {v!r}")
                 if v in seen:
                     raise InvalidTableauError(f"repeated entry {v}")
                 seen.add(v)
+            for a, b in zip(col, col[1:]):
+                if a >= b:
+                    raise InvalidTableauError(f"column not increasing: {col}")
         for left, right in zip(self.columns, self.columns[1:]):
             if len(right) > len(left):
                 raise InvalidTableauError(

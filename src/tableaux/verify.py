@@ -8,8 +8,8 @@ when one exists; pair suites compare relations as rows of bitmasks, and
 ``thm311`` builds both of its rows with no pair loop.  ``SUITES`` records,
 per suite, the sizes its claim covers (the orders coincide up to n = 5; a
 proper extension is sought from n = 6 on); ``run_suite(n)`` runs and times
-every suite whose claim covers n, when the size cap, resolved from
-``limit``, admits n.  ``limit`` also caps the suites' builds.
+every suite whose claim covers n; it resolves the size cap once, from
+``limit``, and the suites, functions of n alone, read the cached builds.
 
 The independent routes re-derive a production result another way: the
 two-column cover by recursion, the paper's membership criterion, the Duflo
@@ -26,9 +26,10 @@ from typing import Iterator
 
 from .config import effective_limit
 from .errors import InvalidTableauError, InvalidWordError, LimitError
-from .orders import _chain_vectors, chain_poset, componentwise_rows, duflo_poset
+from .orders import _chain_poset, _chain_vectors, _duflo_poset, componentwise_rows
 from .rsjdt import all_cells, insert
-from .tableau import Tableau, enumerate_tableaux, map_entries, relabel_tableau, row_text
+from .tableau import (
+    Tableau, _standard_tableaux, enumerate_tableaux, map_entries, relabel_tableau, row_text)
 from .twocol import _require_two_columns, canonical_word, cover, move_to_first_column
 from .words import Word, weak_leq
 
@@ -66,10 +67,6 @@ class VerifyReport:
         verdict = "all checks passed" if self.passed else "FAILURES present"
         out.append(f"{verdict} in {self.elapsed:.2f}s")
         return out
-
-
-def _two_column(n: int, limit: int | None) -> list[Tableau]:
-    return list(enumerate_tableaux(n, max_columns=2, limit=limit))
 
 
 def _first_pair(rows: list[int], nodes, order: str) -> str | None:
@@ -186,65 +183,65 @@ def subspace_leq(w: Word, y: Word) -> bool:
     return root_position_set(y) <= root_position_set(w)
 
 
-def thm311_check(n: int, limit: int | None = None) -> CheckResult:
+def thm311_check(n: int) -> CheckResult:
     """Chain order equals the canonical-word comparison on two-column pairs."""
-    nodes = _two_column(n, limit)
+    nodes = _standard_tableaux(n, 2)
     chain_rows = componentwise_rows(_chain_vectors(nodes))
     return _compare_rows("thm311", n, nodes, chain_rows, _word_rows(n, nodes), "chain-vs-word")
 
 
-def cor312_check(n: int, limit: int | None = None) -> CheckResult:
+def cor312_check(n: int) -> CheckResult:
     """The induced weak order restricted to two-column nodes equals the
     canonical-word comparison."""
-    poset = duflo_poset(n, limit).restrict(lambda t: len(t.columns) <= 2)
+    poset = _duflo_poset(n).restrict(lambda t: len(t.columns) <= 2)
     return _compare_rows("cor312", n, poset.nodes, poset.leq_rows,
                          _word_rows(n, poset.nodes), "duflo-vs-word")
 
 
-def criterion_check(n: int, limit: int | None = None) -> CheckResult:
+def criterion_check(n: int) -> CheckResult:
     """The paper's membership criterion equals the canonical-word
     comparison on two-column pairs."""
-    nodes = _two_column(n, limit)
+    nodes = _standard_tableaux(n, 2)
     rows = [sum(1 << j for j, s in enumerate(nodes) if fast_leq_criterion(t, s)) for t in nodes]
     return _compare_rows("criterion", n, nodes, rows, _word_rows(n, nodes), "criterion-vs-word")
 
 
-def prop316_check(n: int, limit: int | None = None) -> CheckResult:
+def prop316_check(n: int) -> CheckResult:
     """Explicit cover = recursive cover = brute-force poset cover on the
     two-column family."""
-    poset = duflo_poset(n, limit).restrict(lambda t: len(t.columns) <= 2)
+    poset = _duflo_poset(n).restrict(lambda t: len(t.columns) <= 2)
     bad = next((f"T={row_text(t)} order=cover" for t in poset.nodes
                 if not cover(t) == cover_recursive(t) == sorted(poset.cover_of(t), key=row_text)),
                None)
     return CheckResult("prop316", n, len(poset.nodes), bad is None, bad)
 
 
-def _both_posets(n: int, limit: int | None):
-    dp = duflo_poset(n, limit)
-    cp = chain_poset(n, limit)
+def _both_posets(n: int):
+    dp = _duflo_poset(n)
+    cp = _chain_poset(n)
     if cp.nodes != dp.nodes:
         raise RuntimeError(f"chain and Duflo posets list different nodes at n={n}")
     return dp, cp
 
 
-def coincide_check(n: int, limit: int | None = None) -> CheckResult:
+def coincide_check(n: int) -> CheckResult:
     """The induced weak order and the chain order agree on all tableaux."""
-    dp, cp = _both_posets(n, limit)
+    dp, cp = _both_posets(n)
     return _compare_rows("coincide", n, dp.nodes, dp.leq_rows, cp.leq_rows, "duflo-vs-chain")
 
 
-def extension_check(n: int, limit: int | None = None) -> CheckResult:
+def extension_check(n: int) -> CheckResult:
     """The chain order properly extends the induced weak order: every pair
     related in the induced order is related in the chain order, and some
     pair related in the chain order is not.  A pair missing from the chain
-    order is reported as the counterexample, otherwise the witness pair."""
-    dp, cp = _both_posets(n, limit)
+    order is the counterexample, otherwise the witness pair or its absence."""
+    dp, cp = _both_posets(n)
     missing = _first_pair([d & ~c for c, d in zip(cp.leq_rows, dp.leq_rows)],
                           dp.nodes, "duflo-not-chain")
     witness = _first_pair([c & ~d for c, d in zip(cp.leq_rows, dp.leq_rows)],
                           dp.nodes, "chain-not-duflo")
-    return CheckResult("extension", n, len(dp.nodes) ** 2,
-                       missing is None and witness is not None, missing or witness)
+    return CheckResult("extension", n, len(dp.nodes) ** 2, missing is None and witness is not None,
+                       missing or witness or "no chain-not-duflo pair")
 
 
 # name -> (check, (first, last or None) size its claim covers)
@@ -259,22 +256,24 @@ SUITES = {
 
 
 def run_suite(n: int, suite: str = "all", limit: int | None = None) -> VerifyReport:
-    report = VerifyReport(n=n)
-    start = time.perf_counter()
     if suite == "all":
         selected = [name for name, (_, (first, last)) in SUITES.items()
                     if first <= n <= (last or n)]
-        cap = effective_limit(limit)
-        if not selected or n > cap:
-            under = f" under the limit {cap}" if selected else ""
-            raise LimitError(f"no verification suite applies at n={n}{under}")
-    else:
-        if suite not in SUITES:
-            raise LimitError(f"unknown suite {suite!r}")
+        if not selected:
+            raise LimitError(f"no verification suite applies at n={n}")
+    elif suite in SUITES:
         selected = [suite]
+    else:
+        raise LimitError(f"unknown suite {suite!r}")
+    # The builds the suites read are uncapped, and grow without end below 0.
+    cap = effective_limit(limit)
+    if not 0 <= n <= cap:
+        raise LimitError(f"no verification suite applies at n={n} under the limit {cap}")
+    report = VerifyReport(n=n)
+    start = time.perf_counter()
     for name in selected:
         began = time.perf_counter()
-        report.checks.append(SUITES[name][0](n, limit))
+        report.checks.append(SUITES[name][0](n))
         report.checks[-1].seconds = time.perf_counter() - began
     report.elapsed = time.perf_counter() - start
     return report

@@ -98,6 +98,9 @@ def _validate_word(entries: tuple[int, ...]) -> None:
     if not entries:
         raise InvalidWordError("empty word")
     n = len(entries)
+    # An exact type test: a bool or a float equal to an int passes the set checks.
+    if set(map(type, entries)) != {int}:
+        raise InvalidWordError(f"entries must be integers: {entries}")
     seen = set(entries)
     if len(seen) != n:
         dup = sorted(v for v in seen if entries.count(v) > 1)

@@ -4,6 +4,7 @@ import pytest
 
 from tableaux import row_text
 from tableaux.cli import main
+from tableaux.verify import SUITES
 from conftest import two_column
 
 
@@ -297,6 +298,25 @@ class TestVerify:
         assert "no verification suite applies at n=7 under the limit 6" in err
         _, _, err = run(capsys, "verify", "10")
         assert "no verification suite applies at n=10 under the limit 9" in err
+
+    @pytest.mark.parametrize("suite", ["all", *SUITES])
+    @pytest.mark.parametrize("env, flag, n, cap", [
+        (None, [], 10, 9), (None, ["--limit-n", "6"], 7, 6), ("5", [], 6, 5)])
+    def test_one_refusal_beyond_the_cap(self, capsys, monkeypatch, suite, env, flag, n, cap):
+        # The ceiling, --limit-n and TABLEAUX_LIMIT_N refuse every suite one way.
+        monkeypatch.delenv("TABLEAUX_LIMIT_N", raising=False)
+        if env:
+            monkeypatch.setenv("TABLEAUX_LIMIT_N", env)
+        code, out, err = run(capsys, *flag, "verify", str(n), "--suite", suite)
+        assert (code, out) == (2, "")
+        assert err == f"error: no verification suite applies at n={n} under the limit {cap}\n"
+
+    @pytest.mark.parametrize("suite", SUITES)
+    def test_negative_n_refused(self, capsys, monkeypatch, suite):
+        monkeypatch.delenv("TABLEAUX_LIMIT_N", raising=False)
+        code, out, err = run(capsys, "verify", "-1", "--suite", suite)
+        assert (code, out) == (2, "")
+        assert err == "error: no verification suite applies at n=-1 under the limit 9\n"
 
     def test_unknown_suite_size(self, capsys):
         code, _, err = run(capsys, "verify", "10")

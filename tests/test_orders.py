@@ -602,7 +602,7 @@ class TestVerifySuites:
         rows = list(dp.leq_rows)
         rows[i] |= 1 << j
         broken = dataclasses.replace(dp, leq_rows=tuple(rows))
-        monkeypatch.setattr(verify, "duflo_poset", lambda n, limit=None: broken)
+        monkeypatch.setattr(verify, "_duflo_poset", lambda n: broken)
         result = extension_check(6)
         assert not result.passed
         assert result.counterexample == (
@@ -624,6 +624,12 @@ class TestVerifySuites:
     def test_no_extension_through_5(self, n):
         assert coincide_check(n).passed
         assert not extension_check(n).passed
+
+    def test_extension_without_a_pair_says_so(self):
+        result = extension_check(5)
+        assert not result.passed
+        assert result.counterexample == "no chain-not-duflo pair"
+        assert result.line().endswith("\n  counterexample: no chain-not-duflo pair")
 
 
 class TestRootPositionSets:

@@ -103,6 +103,15 @@ class TestRS:
         with pytest.raises(InvalidTableauError, match="distinct"):
             rs([1, 1])
 
+    @pytest.mark.parametrize("rs", [rs_steps, rs_tableau])
+    @pytest.mark.parametrize("letters", [[0, -1], ["b", "a"], [True, 2], [2.0, 1]])
+    def test_letters_a_tableau_cannot_hold_rejected(self, rs, letters):
+        with pytest.raises(InvalidTableauError, match="positive integers"):
+            rs(letters)
+
+    def test_plain_sequence_on_a_sub_alphabet(self):
+        assert rs_tableau([5, 3, 9]) == Tableau([(3, 5), (9,)])
+
     @pytest.mark.parametrize("n", range(1, 8))
     def test_identity_gives_single_row(self, n):
         t = rs_tableau(Word(range(1, n + 1)))

@@ -92,6 +92,12 @@ class TestMakeTableau:
         with pytest.raises(InvalidTableauError, match="repeated"):
             make_tableau([(1, 2), (1,)])
 
+    @pytest.mark.parametrize("build", [Tableau, make_tableau])
+    @pytest.mark.parametrize("columns", [[[True, 2]], [[1], [2.0]], [[1, "a"]]])
+    def test_non_integer_entry(self, build, columns):
+        with pytest.raises(InvalidTableauError, match="positive integers"):
+            build(columns)
+
 
 class TestShape:
     def test_worked_shape(self):

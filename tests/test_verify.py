@@ -5,7 +5,7 @@ import random
 import pytest
 
 from conftest import two_column
-from tableaux import canonical_word, chain_leq, duflo_poset, row_text, tableau, weak_leq
+from tableaux import canonical_word, chain_leq, duflo_poset, row_text, tableau, verify, weak_leq
 from tableaux.orders import _chain_vectors, componentwise_rows
 from tableaux.verify import _compare_rows, _first_pair, _word_rows, run_suite
 
@@ -84,6 +84,8 @@ def test_thm311_at_9_grows_only_the_two_column_family(monkeypatch):
         return grown(n, max_columns)
 
     grown.cache_clear()
+    # verify reads the build directly; the growth recurses through the module.
+    monkeypatch.setattr(verify, "_standard_tableaux", spy)
     monkeypatch.setattr(tableau, "_standard_tableaux", spy)
     report = run_suite(9, "thm311", limit=9)
     assert report.passed and report.checks[0].population == 126 ** 2

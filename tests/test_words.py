@@ -49,6 +49,12 @@ class TestMakeWord:
         with pytest.raises(InvalidWordError, match="empty"):
             Word([])
 
+    @pytest.mark.parametrize("entries", [[1.0, 2], [True, 2], [2, 1.0]])
+    def test_non_integer_entry(self, entries):
+        # Each equals an int, so only the type test tells it apart.
+        with pytest.raises(InvalidWordError, match="integers"):
+            Word(entries)
+
     def test_positions(self):
         w = Word([2, 5, 1, 4, 3])
         assert [w.position(v) for v in range(1, 6)] == [3, 1, 5, 4, 2]
