@@ -30,8 +30,9 @@ of the distinct pairs per level rather than of the n! words, and closed in
 one pass, sinks first, one OR per pair.  The whole base relation is a lazy
 read (``base_rows``) by a sweep over all the words, one inversion layer at a
 time from the longest word down, carrying per word the tableaux whose cells
-meet its weak-order up-set.  Both posets are checked and Hasse-reduced in
-node order (a linear extension through n = 9), one bitset operation per cover.
+meet its weak-order up-set.  A poset's Hasse diagram is reduced, and so
+checked, on first read, in node order (a linear extension through n = 9), one
+bitset operation per cover.
 
 The word-pair scan of the base relation and the subspace form of the weak
 order are independent routes; they live in ``verify`` and the tests.
@@ -189,25 +190,28 @@ def hasse_reduce(rows: Sequence[int]) -> list[tuple[int, int]]:
 
 @dataclass(frozen=True, eq=False)
 class TableauPoset:
-    """A finite poset of same-size tableaux with its Hasse reduction.
+    """A finite poset of same-size tableaux: its nodes and its relation.
 
-    ``leq_rows[i]`` has bit j set when node i is below node j.  ``base_rows``
-    is the Duflo relation before closure, computed on first read and cached
-    per n; it is None for the chain kind and for restricted posets.
-    Posets are cached and shared, so they are frozen.
+    ``leq_rows[i]`` has bit j set when node i is below node j.  ``hasse``
+    and the node index are derived on first read; reducing checks the order.
+    ``base_rows`` is the Duflo relation before closure, cached per n; it is
+    None for the chain kind and for restricted posets.  Posets are cached
+    and shared, so they are frozen.
     """
 
     kind: str
     n: int
     nodes: tuple[Tableau, ...]
     leq_rows: tuple[int, ...]
-    hasse: tuple[tuple[int, int], ...]
     _base_of: Callable[[int], tuple[int, ...]] | None = field(default=None, repr=False)
-    _index: Mapping[Tableau, int] = field(init=False, repr=False)
 
-    def __post_init__(self) -> None:
-        index = MappingProxyType({t: i for i, t in enumerate(self.nodes)})
-        object.__setattr__(self, "_index", index)
+    @functools.cached_property
+    def hasse(self) -> tuple[tuple[int, int], ...]:
+        return tuple(hasse_reduce(self.leq_rows))
+
+    @functools.cached_property
+    def _index(self) -> Mapping[Tableau, int]:
+        return MappingProxyType({t: i for i, t in enumerate(self.nodes)})
 
     @property
     def base_rows(self) -> tuple[int, ...] | None:
@@ -227,18 +231,13 @@ class TableauPoset:
         return [self.nodes[b] for a, b in self.hasse if a == i]
 
     def restrict(self, predicate: Callable[[Tableau], bool]) -> "TableauPoset":
-        """Sub-poset on the nodes satisfying ``predicate``; the Hasse
-        diagram is recomputed from the restricted relation."""
+        """Sub-poset on the nodes satisfying ``predicate``; its Hasse
+        diagram is reduced from the restricted relation when first read."""
         keep = [i for i, t in enumerate(self.nodes) if predicate(t)]
         rows = [sum(1 << new_b for new_b, b in enumerate(keep) if self.leq_rows[a] >> b & 1)
                 for a in keep]
-        return TableauPoset(
-            kind=self.kind,
-            n=self.n,
-            nodes=tuple(self.nodes[i] for i in keep),
-            leq_rows=tuple(rows),
-            hasse=tuple(hasse_reduce(rows)),
-        )
+        return TableauPoset(kind=self.kind, n=self.n, nodes=tuple(self.nodes[i] for i in keep),
+                            leq_rows=tuple(rows))
 
 
 def _closure(nodes: Sequence[Tableau], pairs: Iterable[tuple[int, int]]) -> list[int]:
@@ -367,7 +366,7 @@ def _duflo_poset(n: int) -> TableauPoset:
     nodes = _standard_tableaux(n, None)
     rows = _closure(nodes, _duflo_edges(n))
     return TableauPoset(kind="duflo", n=n, nodes=nodes, leq_rows=tuple(rows),
-                        hasse=tuple(hasse_reduce(rows)), _base_of=_duflo_base)
+                        _base_of=_duflo_base)
 
 
 def componentwise_rows(vectors: Sequence[Sequence[int]]) -> list[int]:
@@ -396,8 +395,7 @@ def chain_poset(n: int, limit: int | None = None) -> TableauPoset:
 def _chain_poset(n: int) -> TableauPoset:
     nodes = _standard_tableaux(n, None)
     rows = componentwise_rows(_chain_vectors(nodes))
-    return TableauPoset(kind="chain", n=n, nodes=nodes, leq_rows=tuple(rows),
-                        hasse=tuple(hasse_reduce(rows)))
+    return TableauPoset(kind="chain", n=n, nodes=nodes, leq_rows=tuple(rows))
 
 
 def poset_to_json(poset: TableauPoset) -> str:

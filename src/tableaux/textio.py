@@ -36,25 +36,27 @@ def format_word(w: Word) -> str:
 
 
 def parse_tableau(text: str) -> Tableau:
-    """Parse either the row form or the ``cols:`` form into a standard tableau."""
+    """Parse either the row form or the ``cols:`` form into a standard tableau.
+    Trailing separators are ignored; an empty row or column before the last is not."""
     body = text.strip()
     if not body:
         raise InvalidTableauError("empty tableau text")
-    if body.lower().startswith("cols:"):
-        cols = [
-            _parse_ints(part, InvalidTableauError)
-            for part in body[5:].split("|")
-        ]
-        return make_tableau([c for c in cols if c])
-    rows = [_parse_ints(part, InvalidTableauError) for part in body.split(";")]
-    rows = [r for r in rows if r]
-    if not rows:
+    by_cols = body.lower().startswith("cols:")
+    parts = [_parse_ints(part, InvalidTableauError)
+             for part in (body[5:].split("|") if by_cols else body.split(";"))]
+    while parts and not parts[-1]:
+        parts.pop()
+    if not all(parts):
+        raise InvalidTableauError(f"empty {'column' if by_cols else 'row'} in {text!r}")
+    if by_cols:
+        return make_tableau(parts)
+    if not parts:
         raise InvalidTableauError(f"no entries in {text!r}")
-    widths = [len(r) for r in rows]
+    widths = [len(r) for r in parts]
     if any(widths[i] < widths[i + 1] for i in range(len(widths) - 1)):
         raise InvalidTableauError(f"row widths not weakly decreasing: {widths}")
     columns = [
-        tuple(row[c] for row in rows if len(row) > c)
+        tuple(row[c] for row in parts if len(row) > c)
         for c in range(widths[0])
     ]
     return make_tableau(columns)

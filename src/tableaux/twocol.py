@@ -22,8 +22,8 @@ that check this module against them by exhaustion.
 
 On this family, the chain order and the induced weak order coincide, and
 the cover of a tableau is given explicitly: move the top of a maximal run
-of consecutive second-column entries into the first column, whenever the
-trace snapshot at that entry agrees with the straight projection.
+of consecutive second-column entries into the first column, whenever no
+entry below it has been emitted before its own step.
 
 Two-row tableaux are handled through transposition, which reverses the
 orders, so the comparison swaps its arguments.
@@ -38,7 +38,6 @@ from typing import Mapping, NamedTuple
 
 from .config import CACHE_BOUND
 from .errors import InvalidTableauError
-from .rsjdt import project_tableau
 from .tableau import Tableau, row_text
 from .words import Word, reverse, weak_leq
 
@@ -166,8 +165,8 @@ def cover(t: Tableau) -> list[Tableau]:
     out = []
     for start, extra in _runs(t):
         x = start + extra
-        snapshot, _ = trace.second_column[x]
-        if project_tableau(t, 1, x) == snapshot:
+        # Still x boxes at x's step: no entry below x has been emitted.
+        if trace.second_column[x][0].n == x:
             out.append(_move_to_first_column(t, x))
     return sorted(out, key=row_text)
 

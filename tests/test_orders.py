@@ -808,9 +808,9 @@ class TestFinishingLayerOracles:
 
         monkeypatch.setattr(orders, "sorted", spy, raising=False)
         duflo, chain = orders._duflo_poset.__wrapped__(n), orders._chain_poset.__wrapped__(n)
-        for poset in (duflo, chain):
-            poset.restrict(lambda t: len(t.columns) <= 2)
-        assert calls == []
+        diagrams = [sub.hasse for poset in (duflo, chain)
+                    for sub in (poset, poset.restrict(lambda t: len(t.columns) <= 2))]
+        assert calls == [] and len(diagrams) == 4
         assert duflo.hasse == duflo_poset(n, limit=n).hasse
         assert chain.hasse == chain_poset(n, limit=n).hasse
         assert hasse_reduce((0b01, 0b11)) == [(1, 0)]
@@ -852,3 +852,42 @@ class TestRestriction:
         for t in sub.nodes:
             for s in sub.nodes:
                 assert sub.leq(t, s) == full.leq(t, s)
+
+
+class TestDerivedHasse:
+    """A poset holds its nodes and relation; the Hasse diagram and the node
+    index are derived from them on first read."""
+
+    @pytest.mark.parametrize("n", range(1, 9))
+    def test_hasse_is_the_reduced_relation_read_once(self, n):
+        for full in (duflo_poset(n), chain_poset(n)):
+            for poset in (full, full.restrict(lambda t: len(t.columns) <= 2)):
+                first = poset.hasse
+                assert list(first) == hasse_reduce(poset.leq_rows)
+                assert poset.hasse is first
+
+    def test_hasse_cannot_be_assigned(self):
+        poset = duflo_poset(4).restrict(lambda t: len(t.columns) <= 2)
+        for _ in range(2):
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                poset.hasse = ()
+            assert poset.hasse == tuple(hasse_reduce(poset.leq_rows))
+
+    def test_non_order_builds_and_fails_on_export(self, monkeypatch):
+        # 0 < 1 < 2 without 0 < 2: the build takes the rows as given, and
+        # the first read of the Hasse diagram checks them.
+        rows = [0b0011, 0b0110, 0b0100, 0b1000]
+        monkeypatch.setattr(orders, "_closure", lambda nodes, pairs: rows)
+        poset = orders._duflo_poset.__wrapped__(3)
+        assert poset.leq_rows == tuple(rows)
+        with pytest.raises(InvalidTableauError, match="transitive"):
+            poset_to_json(poset)
+
+    @pytest.mark.parametrize("n", range(1, 10))
+    def test_chain_vectors_are_distinct(self, n):
+        # The windows (1, j) are the shapes of T restricted to 1..j, T's own
+        # chain of diagrams, so they alone tell tableaux apart; the chain
+        # rows are then antisymmetric without a check.
+        nodes = all_tableaux(n)
+        vectors = orders._chain_vectors(nodes)
+        assert len({v[:n * (n - 1) // 2] for v in vectors}) == len(nodes)

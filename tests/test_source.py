@@ -104,18 +104,22 @@ def cached_functions():
 def test_caches_keyed_by_tableaux_are_bounded():
     # A cache keyed by a tableau grows with every fresh input, so it holds at
     # most CACHE_BOUND entries; only caches keyed by sizes may stay unbounded.
-    bounded, unbounded, other = set(), set(), []
+    # A cached property holds one value per instance and takes no key.
+    bounded, unbounded, per_instance, other = set(), set(), set(), []
     for module, name, text, params in cached_functions():
         by_size = params[0][0] == "n" and all(ann in ("int", "int | None") for _, ann in params)
         if text == "functools.lru_cache(maxsize=CACHE_BOUND)":
             bounded.add(name)
         elif text == "functools.lru_cache(maxsize=None)" and by_size:
             unbounded.add(name)
+        elif text == "functools.cached_property" and [p for p, _ in params] == ["self"]:
+            per_instance.add(name)
         else:
             other.append(f"{module}:{name} {text}")
     assert other == []
     assert bounded == {"_chain_vector", "chain_profile", "canonical_word"}
     assert unbounded == {"_standard_tableaux", "_duflo_poset", "_duflo_base", "_chain_poset"}
+    assert per_instance == {"hasse", "_index"}
     for fn in (tableaux.orders._chain_vector, tableaux.orders.chain_profile,
                tableaux.twocol.canonical_word):
         assert fn.cache_info().maxsize == CACHE_BOUND == 256

@@ -102,6 +102,25 @@ class TestTableauText:
         with pytest.raises(InvalidTableauError, match="empty"):
             parse_tableau("   ")
 
+    @pytest.mark.parametrize("text, message", [
+        ("1 2; ; 3", "empty row in '1 2; ; 3'"),
+        ("; 1 2; 3", "empty row in '; 1 2; 3'"),
+        ("cols: 1 2 | | 3", "empty column in 'cols: 1 2 | | 3'"),
+        ("cols: | 1 2 | 3", "empty column in 'cols: | 1 2 | 3'"),
+        ("   ", "empty tableau text"),
+        (";", "no entries in ';'"),
+    ])
+    def test_empty_row_or_column_before_the_last(self, text, message):
+        # Tableau refuses an empty interior column; the text forms refuse an
+        # empty row or column before the last non-empty one in the same way.
+        with pytest.raises(InvalidTableauError) as raised:
+            parse_tableau(text)
+        assert str(raised.value) == message
+
+    @pytest.mark.parametrize("text", ["1 2; 3;", "1 2; 3; ;", "cols: 1 3 | 2 |", "cols: 1 3 | 2 | |"])
+    def test_trailing_separators_are_ignored(self, text):
+        assert parse_tableau(text) == make_tableau([(1, 3), (2,)])
+
     def test_invalid_filling(self):
         with pytest.raises(InvalidTableauError):
             parse_tableau("2 1; 3")

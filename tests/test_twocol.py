@@ -15,6 +15,7 @@ from tableaux import (
     fast_leq,
     make_tableau,
     move_to_first_column,
+    project_tableau,
     relabel_tableau,
     row_text,
     rs_tableau,
@@ -23,6 +24,7 @@ from tableaux import (
     two_row_leq,
     weak_leq,
 )
+from tableaux.tableau import _standard_tableaux
 from tableaux.verify import cover_recursive, fast_leq_criterion, root_position_set
 
 WORKED_T = [(1, 2, 4, 7), (3, 5, 6)]
@@ -325,6 +327,15 @@ class TestCover:
     def test_recursive_matches_explicit(self, n):
         for t in two_column(n):
             assert cover(t) == cover_recursive(t)
+
+    @pytest.mark.parametrize("n", range(1, 13))
+    def test_trace_index_rule_matches_projection(self, n):
+        # ``cover`` keeps a run top x when x's trace snapshot still has x
+        # boxes; the rule it replaces compared the snapshot with the straight
+        # projection onto 1..x.  Checked here for every second-column entry.
+        for t in _standard_tableaux(n, 2):
+            for x, (snapshot, _) in canonical_word(t).trace.second_column.items():
+                assert (snapshot.n == x) == (project_tableau(t, 1, x) == snapshot)
 
     @pytest.mark.parametrize("n", range(1, 8))
     def test_matches_poset_cover(self, n):

@@ -5,7 +5,8 @@ import random
 import pytest
 
 from conftest import two_column
-from tableaux import canonical_word, chain_leq, duflo_poset, row_text, tableau, verify, weak_leq
+from tableaux import (
+    canonical_word, chain_leq, duflo_poset, orders, row_text, tableau, verify, weak_leq)
 from tableaux.orders import _chain_vectors, componentwise_rows
 from tableaux.verify import _compare_rows, _first_pair, _word_rows, run_suite
 
@@ -91,3 +92,21 @@ def test_thm311_at_9_grows_only_the_two_column_family(monkeypatch):
     assert report.passed and report.checks[0].population == 126 ** 2
     assert (9, 2) in calls
     assert {max_columns for _, max_columns in calls} == {2}
+
+
+def test_run_suite_at_9_reduces_only_the_cover_restriction(monkeypatch):
+    # Only prop316 reads a Hasse diagram, that of the two-column restriction;
+    # the full posets are read as rows and never reduced.
+    reduce, sizes = orders.hasse_reduce, []
+
+    def spy(rows):
+        sizes.append(len(rows))
+        return reduce(rows)
+
+    monkeypatch.setattr(orders, "hasse_reduce", spy)
+    orders._duflo_poset.cache_clear()
+    orders._chain_poset.cache_clear()
+    report = run_suite(9)
+    assert report.passed and [c.name for c in report.checks] == [
+        "thm311", "cor312", "prop316", "extension", "criterion"]
+    assert sizes == [126]
