@@ -1,12 +1,11 @@
 """The order relations at full generality, poset construction, and exports.
 
 Chain order: T is below S when every jeu-de-taquin projection of T has a
-shape dominance-below the matching projection of S.  Each tableau's window
-shapes are flattened into one vector of prefix sums, so the chain order is
-a componentwise comparison of vectors; ``componentwise_rows`` builds the
-poset bit-sliced, one AND of a threshold bitmask per coordinate and node.
-A vector is the windows (1, j) followed by the vector of the tableau left
-by sliding 1 out, so a batch shares one slide per distinct sub-tableau.
+shape dominance-below the matching projection of S.  The window shapes make
+one vector of prefix sums, a byte per field under a free top bit, compared
+by one guarded subtraction.  A vector is the windows (1, j), then the vector
+of the tableau left by sliding 1 out: a batch slides a sub-tableau once, and
+the rows (ANDs of threshold masks) share its partial row.
 
 Duflo order: the relation induced on tableaux from the weak right order on
 words through their cells.  The base relation ("some word of the first cell
@@ -78,58 +77,70 @@ def compare(t: Tableau, s: Tableau, leq: Callable[[Tableau, Tableau], bool]) -> 
     return Verdict.INCOMPARABLE
 
 
-def _chain_vectors(tableaux: Sequence[Tableau]) -> list[tuple[int, ...]]:
-    """``_chain_vector`` of each tableau, sharing the deletion chains."""
-    if not all(t.is_standard for t in tableaux):
-        raise InvalidTableauError("chain profiles are defined for standard tableaux")
-    # below[cols], for a sub-tableau on lo..n (lo > 1): its windows (lo, j)
-    # and the columns left by sliding lo out.
-    below: dict[tuple[tuple[int, ...], ...], tuple] = {}
-    vectors = []
-    for t in tableaux:
-        n, cols, vector = t.n, t.columns, []
-        for lo in range(1, n):
-            if cols in below:
-                prefix, cols = below[cols]
-                vector.extend(prefix)
-                continue
-            # lo is in the corner; the entries <= j fill a diagram, grown
-            # here one box per j.
-            start, key = len(vector), cols
-            column_of = {v: c for c, col in enumerate(cols) for v in col}
-            counts = [1] + [0] * (n - lo)
-            for j in range(lo + 1, n + 1):
-                counts[column_of[j]] += 1
-                vector.extend(itertools.accumulate(counts[:j - lo]))
+@functools.lru_cache(maxsize=None)
+def _layout(n: int) -> tuple[int, tuple[int, ...], int]:
+    """Bytes per field (n fits below the top bit), ``ones[c]`` (1 in fields c..n-1), the guard."""
+    width = 1 if n < 128 else 2 if n < 32768 else 4
+    one, top = (1).to_bytes(width, "little"), (1 << 8 * width - 1).to_bytes(width, "little")
+    ones = tuple(int.from_bytes(one * (n - c), "little") << 8 * width * c for c in range(n + 1))
+    return width, ones, int.from_bytes(top * ((n + 1) * n * (n - 1) // 6), "little")
+
+
+def _fields(vector: bytes, width: int) -> str:
+    """A packed vector as text, a field a character: the codec's code unit is the field."""
+    return vector.decode({1: "latin-1", 2: "utf-16-le", 4: "utf-32-le"}[width], "surrogatepass")
+
+
+def _peel(cols: list[list[int]], lo: int, n: int) -> bytes:
+    """Fields of the windows (lo, j) of a tableau on lo..n, lo in the corner; lo is then
+    slid out if a window is left.  Entry j adds 1 to the column-height sums from its column."""
+    width, ones, _ = _layout(n)
+    column_of = {v: c for c, col in enumerate(cols) for v in col}
+    sums, parts = ones[0], []
+    for j in range(lo + 1, n + 1):
+        sums += ones[column_of[j]]
+        parts.append(sums.to_bytes(n * width, "little")[:(j - lo) * width])
+    if lo < n - 1:
+        _slide_out(cols, 0, 0)
+    return b"".join(parts)
+
+
+def _chain_vectors(tableaux: Sequence[Tableau]) -> list[bytes]:
+    """``_chain_vector`` of standard tableaux, level by level: a sub-tableau slides once."""
+    parts: list[list[bytes]] = [[] for _ in tableaux]
+    groups: dict[tuple[tuple[int, ...], ...], list[int]] = {}
+    for k, t in enumerate(tableaux):
+        groups.setdefault(t.columns, []).append(k)
+    lo = 0
+    while groups:
+        lo, level, groups = lo + 1, groups, {}
+        for cols, ks in level.items():
+            n, slid = lo - 1 + sum(map(len, cols)), [list(c) for c in cols]
+            fields = _peel(slid, lo, n)
+            for k in ks:
+                parts[k].append(fields)
             if lo < n - 1:
-                slid = [list(c) for c in cols]
-                _slide_out(slid, 0, 0)
-                cols = tuple(map(tuple, slid))
-            if lo > 1:
-                below[key] = (tuple(vector[start:]), cols)
-        vectors.append(tuple(vector))
-    return vectors
+                groups.setdefault(tuple(map(tuple, slid)), []).extend(ks)
+    return [b"".join(p) for p in parts]
 
 
 @functools.lru_cache(maxsize=CACHE_BOUND)
-def _chain_vector(t: Tableau) -> tuple[int, ...]:
-    """Window shapes flattened in sorted window order: for window (i, j),
-    the first j - i prefix sums of its shape, held at the box count past
-    the last column; the last sum, j - i + 1, is common and dropped.
-    Dominance on every window is componentwise ``<=``.  Sliding out a
-    down-set does not depend on the order, so the windows (i, j), i >= 2,
-    are those of the tableau left by sliding 1 out: a vector is its windows
-    (1, j) followed by that tableau's.  A batch shares these sub-tableaux
-    for one call only; kept for good, they would add n - 2 entries for
-    every fresh tableau."""
-    return _chain_vectors((t,))[0]
+def _chain_vector(t: Tableau) -> bytes:
+    """Window shapes in sorted window order, for (i, j) the first j - i prefix sums of
+    its column heights: dominance on every window is ``<=`` on every field.  Sliding out
+    a down-set does not depend on the order, so a vector is the windows (1, j) followed
+    by the vector of the tableau left by sliding 1 out."""
+    if not t.is_standard:
+        raise InvalidTableauError("chain profiles are defined for standard tableaux")
+    cols = [list(c) for c in t.columns]
+    return b"".join([_peel(cols, lo, t.n) for lo in range(1, t.n)])
 
 
 @functools.lru_cache(maxsize=CACHE_BOUND)
 def chain_profile(t: Tableau) -> Mapping[tuple[int, int], ColumnShape]:
     """Shapes of all projections onto value windows i..j, 1 <= i < j <= n,
     as a read-only mapping: the positive steps of their ``_chain_vector`` sums."""
-    vector, profile = iter(_chain_vector(t)), {}
+    vector, profile = map(ord, _fields(_chain_vector(t), _layout(t.n)[0])), {}
     for i, j in itertools.combinations(range(1, t.n + 1), 2):
         sums = [0, *itertools.islice(vector, j - i), j - i + 1]
         profile[(i, j)] = tuple(b - a for a, b in zip(sums, sums[1:]) if b > a)
@@ -137,10 +148,14 @@ def chain_profile(t: Tableau) -> Mapping[tuple[int, int], ColumnShape]:
 
 
 def chain_leq(t: Tableau, s: Tableau) -> bool:
-    """Dominance of every projected shape of t by the matching shape of s."""
+    """Dominance of every projected shape of t by s's, in one subtraction (Lamport,
+    CACM 1975): with the top bits of s's fields set no borrow crosses a field, and
+    a field keeps its top bit where s is at least t."""
     if t.n != s.n:
         raise InvalidTableauError(f"size mismatch: {t.n} vs {s.n}")
-    return not any(map(int.__gt__, _chain_vector(t), _chain_vector(s)))
+    below, above = (int.from_bytes(_chain_vector(u), "little") for u in (t, s))
+    guard = _layout(s.n)[2]
+    return ((above | guard) - below) & guard == guard
 
 
 def hasse_reduce(rows: Sequence[int]) -> list[tuple[int, int]]:
@@ -369,20 +384,32 @@ def _duflo_poset(n: int) -> TableauPoset:
                         _base_of=_duflo_base)
 
 
-def componentwise_rows(vectors: Sequence[Sequence[int]]) -> list[int]:
-    """Row bitmasks, with no pair loop: bit j of row k is set when
-    ``vectors[k] <= vectors[j]`` on every coordinate (non-negative integers)."""
-    bits = [1 << j for j in range(len(vectors))]
-    rows = [(1 << len(vectors)) - 1] * len(vectors)
-    for coord in zip(*vectors):
-        # at_least[v]: the vectors whose value on this coordinate is >= v.
-        at_least = [0] * (max(coord) + 1)
-        for v, bit in zip(coord, bits):
-            at_least[v] |= bit
-        for v in range(len(at_least) - 1, 0, -1):
-            at_least[v - 1] |= at_least[v]
-        rows = [row & at_least[v] for row, v in zip(rows, coord)]
-    return rows
+def _threshold_rows(texts: Sequence[str], alphabet: str, shared: Iterable[int] = ()) -> list[int]:
+    """Bit j of row k is set when no character of texts[k] is above texts[j]'s: an AND
+    of threshold masks read in linear time off each column (characters in ``alphabet``,
+    increasing); the AND over a suffix of a length in ``shared`` (increasing) is made once."""
+    size, backwards = len(texts[0]), "".join(texts)[::-1]  # columns from the last text
+    partial, top = {"": (1 << len(texts)) - 1}, ord(alphabet[-1]) + 1
+    for short, long in itertools.pairwise([0, *shared, size]):
+        columns = (backwards[long - 1 - i::size] for i in range(long - short))
+        masks = [{x: int(col.translate("0" * ord(x) + "1" * (top - ord(x))), 2)
+                  for x in alphabet if x in col} for col in columns]
+        level = {}
+        for key in {t[size - long:] for t in texts}:
+            row = partial[key[long - short:]]
+            for mask, x in zip(masks, key):
+                row &= mask[x]
+            level[key] = row
+        partial = level
+    return [partial[t] for t in texts]
+
+
+def _chain_rows(nodes: Sequence[Tableau]) -> list[int]:
+    """The chain order on same-size ``nodes``: the last C(m + 1, 3) fields are a sub-tableau's."""
+    n = nodes[0].n
+    texts = [_fields(v, _layout(n)[0]) for v in _chain_vectors(nodes)]
+    return _threshold_rows(texts, "".join(map(chr, range(n + 1))),
+                           [(m + 1) * m * (m - 1) // 6 for m in range(2, n)])
 
 
 def chain_poset(n: int, limit: int | None = None) -> TableauPoset:
@@ -394,8 +421,7 @@ def chain_poset(n: int, limit: int | None = None) -> TableauPoset:
 @functools.lru_cache(maxsize=None)
 def _chain_poset(n: int) -> TableauPoset:
     nodes = _standard_tableaux(n, None)
-    rows = componentwise_rows(_chain_vectors(nodes))
-    return TableauPoset(kind="chain", n=n, nodes=nodes, leq_rows=tuple(rows))
+    return TableauPoset(kind="chain", n=n, nodes=nodes, leq_rows=tuple(_chain_rows(nodes)))
 
 
 def poset_to_json(poset: TableauPoset) -> str:

@@ -48,10 +48,10 @@ def parse_tableau(text: str) -> Tableau:
         parts.pop()
     if not all(parts):
         raise InvalidTableauError(f"empty {'column' if by_cols else 'row'} in {text!r}")
-    if by_cols:
-        return make_tableau(parts)
     if not parts:
         raise InvalidTableauError(f"no entries in {text!r}")
+    if by_cols:
+        return make_tableau(parts)
     widths = [len(r) for r in parts]
     if any(widths[i] < widths[i + 1] for i in range(len(widths) - 1)):
         raise InvalidTableauError(f"row widths not weakly decreasing: {widths}")

@@ -26,7 +26,7 @@ from typing import Iterator
 
 from .config import effective_limit
 from .errors import InvalidTableauError, InvalidWordError, LimitError
-from .orders import _chain_poset, _chain_vectors, _duflo_poset, componentwise_rows
+from .orders import _chain_poset, _chain_rows, _duflo_poset, _threshold_rows
 from .rsjdt import all_cells, insert
 from .tableau import (
     Tableau, _standard_tableaux, enumerate_tableaux, map_entries, relabel_tableau, row_text)
@@ -86,12 +86,11 @@ def _compare_rows(name: str, n: int, nodes, left, right, order: str) -> CheckRes
 
 
 def _word_rows(n: int, nodes) -> list[int]:
-    """Canonical words compared as rows: a node's row is the AND, over its
-    inversion pairs, of the nodes whose word has that inversion.  Each word
-    is read once, so a family larger than the ``CACHE_BOUND`` = 256 entries
-    of ``canonical_word`` costs one trace per node, not one per pair."""
-    masks = [canonical_word(t).word.inversion_mask() for t in nodes]
-    return componentwise_rows([[m >> p & 1 for p in range(n * (n - 1) // 2)] for m in masks])
+    """Canonical words compared as rows of their inversion sets, each word
+    read once: a family past ``CACHE_BOUND`` costs one trace per node, not per pair."""
+    pairs = n * (n - 1) // 2
+    return _threshold_rows([format(canonical_word(t).word.inversion_mask(), f"0{pairs}b")
+                            for t in nodes], "01")
 
 
 def cover_recursive(t: Tableau) -> list[Tableau]:
@@ -186,7 +185,7 @@ def subspace_leq(w: Word, y: Word) -> bool:
 def thm311_check(n: int) -> CheckResult:
     """Chain order equals the canonical-word comparison on two-column pairs."""
     nodes = _standard_tableaux(n, 2)
-    chain_rows = componentwise_rows(_chain_vectors(nodes))
+    chain_rows = _chain_rows(nodes)
     return _compare_rows("thm311", n, nodes, chain_rows, _word_rows(n, nodes), "chain-vs-word")
 
 

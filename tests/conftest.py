@@ -33,6 +33,22 @@ def brute_dominance_leq(a, b):
     return all(x <= y for x, y in zip(pa, pb))
 
 
+def componentwise_rows(vectors):
+    """Row bitmasks, with no pair loop: bit j of row k is set when
+    ``vectors[k] <= vectors[j]`` on every coordinate (non-negative integers)."""
+    bits = [1 << j for j in range(len(vectors))]
+    rows = [(1 << len(vectors)) - 1] * len(vectors)
+    for coord in zip(*vectors):
+        # at_least[v]: the vectors whose value on this coordinate is >= v.
+        at_least = [0] * (max(coord) + 1)
+        for v, bit in zip(coord, bits):
+            at_least[v] |= bit
+        for v in range(len(at_least) - 1, 0, -1):
+            at_least[v - 1] |= at_least[v]
+        rows = [row & at_least[v] for row, v in zip(rows, coord)]
+    return rows
+
+
 def all_words(n):
     return list(enumerate_words(n))
 

@@ -11,7 +11,7 @@ import types
 import pytest
 from hypothesis import given, strategies as st
 
-from conftest import all_tableaux, all_words, two_column
+from conftest import all_tableaux, all_words, componentwise_rows, two_column
 from tableaux import (
     InvalidTableauError,
     Tableau,
@@ -26,6 +26,7 @@ from tableaux import (
     hasse_reduce,
     inversion_set,
     make_tableau,
+    poset_to_dot,
     poset_to_json,
     project_tableau,
     relabel_tableau,
@@ -36,7 +37,7 @@ from tableaux import (
 )
 from tableaux.errors import LimitError
 from tableaux.rsjdt import insert
-from tableaux import orders, verify
+from tableaux import orders, tableau, verify
 from tableaux.verify import (
     coincide_check,
     duflo_base_by_scan,
@@ -296,6 +297,84 @@ class TestChainLeq:
             assert chain_leq(a, b) == windowwise_chain_leq(a, b)
 
 
+def tuple_vector(t):
+    """The chain vector as a tuple, window by window through project_tableau:
+    the first j - i prefix sums of each window's column heights."""
+    return tuple(itertools.chain.from_iterable(
+        itertools.islice(itertools.accumulate(project_tableau(t, i, j).shape + (0,) * (j - i)),
+                         j - i)
+        for i, j in itertools.combinations(range(1, t.n + 1), 2)))
+
+
+def tuple_leq(t, s):
+    """The componentwise comparison of the vectors' fields, one pair at a time."""
+    return not any(map(int.__gt__, orders._chain_vector(t), orders._chain_vector(s)))
+
+
+class TestPackedVectors:
+    @pytest.mark.parametrize("n", range(0, 10))
+    def test_chain_rows_match_the_tuple_oracle(self, n):
+        nodes = all_tableaux(n)
+        assert orders._chain_rows(nodes) == componentwise_rows([tuple_vector(t) for t in nodes])
+
+    @pytest.mark.parametrize("n", range(0, 13))
+    def test_two_column_rows_match_the_tuple_oracle(self, n):
+        nodes = tableau._standard_tableaux(n, 2)
+        assert orders._chain_rows(nodes) == componentwise_rows([tuple_vector(t) for t in nodes])
+
+    @pytest.mark.parametrize("n", range(0, 7))
+    def test_chain_leq_matches_the_tuple_comparison(self, n):
+        nodes = all_tableaux(n)
+        for t in nodes:
+            assert orders._chain_vector(t) == bytes(tuple_vector(t))
+            for s in nodes:
+                assert chain_leq(t, s) == tuple_leq(t, s)
+
+    def test_chain_leq_matches_the_tuple_comparison_at_14(self):
+        # Half the pairs are a tableau and one above it (ascents of its word
+        # swapped), so both answers occur.
+        rng, seen = random.Random(14), collections.Counter()
+        for k in range(2000):
+            word = rng.sample(range(1, 15), 14)
+            other = list(word) if k % 2 else rng.sample(range(1, 15), 14)
+            for _ in range(3 * (k % 2)):
+                a = rng.randrange(13)
+                if other[a] < other[a + 1]:
+                    other[a], other[a + 1] = other[a + 1], other[a]
+            t, s = rs_tableau(Word(word)), rs_tableau(Word(other))
+            seen[chain_leq(t, s)] += 1
+            assert chain_leq(t, s) == tuple_leq(t, s)
+        assert seen[True] > 500 and seen[False] > 500
+
+    def test_vectors_are_bytes(self):
+        for t in all_tableaux(5):
+            assert type(orders._chain_vector(t)) is bytes
+        assert all(type(v) is bytes for v in orders._chain_vectors(all_tableaux(5)))
+
+    def test_wide_fields_past_127(self):
+        # A field reaches n (window (1, n) of one column), so n = 129 takes
+        # two bytes a field; one byte would carry into the guard bits.
+        n = 129
+        row = make_tableau([(v,) for v in range(1, n + 1)])
+        column = make_tableau([tuple(range(1, n + 1))])
+        t = rs_tableau(Word(random.Random(n).sample(range(1, n + 1), n)))
+        assert len(orders._chain_vector(t)) == 2 * (n + 1) * n * (n - 1) // 6
+        assert chain_profile(column)[(1, n)] == (n,)
+        assert orders._chain_vectors([row, t, column]) == [orders._chain_vector(u)
+                                                           for u in (row, t, column)]
+        assert chain_leq(row, t) and not chain_leq(t, row)
+        assert chain_leq(t, column) and windowwise_chain_leq(t, column)
+        assert not chain_leq(column, t) and not windowwise_chain_leq(column, t)
+
+    def test_threshold_rows_past_one_byte(self):
+        # Characters past 255, as two-byte fields give, with a shared suffix.
+        rng = random.Random(3)
+        vectors = [[rng.choice((1, 200, 300, 1000)) for _ in range(5)] for _ in range(40)]
+        alphabet = "".join(map(chr, sorted({x for v in vectors for x in v})))
+        texts = ["".join(map(chr, v)) for v in vectors]
+        assert orders._threshold_rows(texts, alphabet, [2]) == componentwise_rows(vectors)
+
+
 class TestChainPoset:
     @pytest.mark.parametrize("n", range(1, 8))
     def test_rows_match_windowwise_dominance(self, n):
@@ -327,7 +406,13 @@ class TestChainPoset:
         assert sum(bin(r).count("1") for r in p.leq_rows) == 301573
         assert len(p.hasse) == 9788
         digest = hashlib.sha256(poset_to_json(p).encode()).hexdigest()
-        assert digest.startswith("70aae659")
+        assert digest == "70aae659fcf5ec95dd4129444a1c99c0a7dad960a1d012c44f5f342dc951945b"
+        digest = hashlib.sha256(poset_to_dot(p).encode()).hexdigest()
+        assert digest == "7897cf9cc0b4fd56989a9c13d732df4c994cb0de3493f4ba9f5c879c22fa9ca3"
+
+    def test_pinned_at_8(self):
+        digest = hashlib.sha256(poset_to_json(chain_poset(8)).encode()).hexdigest()
+        assert digest == "e867518fefeb9d17b6c75b1543bc9d7bddb9baaf4149e82306f12476882f0420"
 
 
 class TestDufloPoset:
@@ -435,6 +520,8 @@ class TestDufloPoset:
         assert len(p.hasse) == 9826
         digest = hashlib.sha256(poset_to_json(p).encode()).hexdigest()
         assert digest == "b420425407f26fd476d5fea04dee3122e1385787a4dc68b8249b10c922d7943a"
+        digest = hashlib.sha256(poset_to_dot(p).encode()).hexdigest()
+        assert digest == "3df2aa8048396aabdbd049d1d82fa943fcdffc8bb1eac591d839b2edb63204a1"
 
     def test_cyclic_base_names_its_tableaux(self, monkeypatch):
         # The reverse of the pair (1 2 3, 1 2; 3): a 2-cycle.

@@ -109,6 +109,8 @@ class TestTableauText:
         ("cols: | 1 2 | 3", "empty column in 'cols: | 1 2 | 3'"),
         ("   ", "empty tableau text"),
         (";", "no entries in ';'"),
+        ("cols:", "no entries in 'cols:'"),
+        ("cols: |", "no entries in 'cols: |'"),
     ])
     def test_empty_row_or_column_before_the_last(self, text, message):
         # Tableau refuses an empty interior column; the text forms refuse an

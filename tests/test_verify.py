@@ -7,12 +7,8 @@ import pytest
 from conftest import two_column
 from tableaux import (
     canonical_word, chain_leq, duflo_poset, orders, row_text, tableau, verify, weak_leq)
-from tableaux.orders import _chain_vectors, componentwise_rows
+from tableaux.orders import _chain_rows as chain_rows
 from tableaux.verify import _compare_rows, _first_pair, _word_rows, run_suite
-
-
-def chain_rows(nodes):
-    return componentwise_rows(_chain_vectors(nodes))
 
 
 def pairwise_rows(nodes, leq):
