@@ -9,8 +9,8 @@ words.  Tableaux (2620 at n = 9), cells and the two-column family (126)
 grow box by box at their own cost, and the Duflo poset grows its cover
 pairs on tableaux (22844 distinct pairs at n = 9, built in about 0.22 s).
 
-``CACHE_BOUND`` caps every cache keyed by a tableau (chain vectors and
-profiles, canonical words); caches keyed by sizes alone are not bounded.
+``CACHE_BOUND`` caps every cache keyed by a tableau (chain vectors, profiles,
+canonical words, their inversion masks); caches keyed by sizes are unbounded.
 """
 
 import os

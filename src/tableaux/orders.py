@@ -151,10 +151,11 @@ def chain_leq(t: Tableau, s: Tableau) -> bool:
     """Dominance of every projected shape of t by s's, in one subtraction (Lamport,
     CACM 1975): with the top bits of s's fields set no borrow crosses a field, and
     a field keeps its top bit where s is at least t."""
-    if t.n != s.n:
-        raise InvalidTableauError(f"size mismatch: {t.n} vs {s.n}")
+    n = t.n
+    if n != s.n:
+        raise InvalidTableauError(f"size mismatch: {n} vs {s.n}")
     below, above = (int.from_bytes(_chain_vector(u), "little") for u in (t, s))
-    guard = _layout(s.n)[2]
+    guard = _layout(n)[2]
     return ((above | guard) - below) & guard == guard
 
 

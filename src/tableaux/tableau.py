@@ -79,15 +79,16 @@ def shape_corners(shape: Sequence[int]) -> list[Corner]:
 
 class Tableau:
     """Columns of strictly increasing entries, rows increasing left to right;
-    read-only, since caches share the instances."""
+    stores its size ``n`` and, once used, its hash; read-only, since caches share it."""
 
-    __slots__ = ("columns",)
+    __slots__ = ("columns", "n", "_hash")
 
     def __init__(self, columns: Iterable[Iterable[int]], check: bool = True):
         cols = [tuple(c) for c in columns]
         while cols and not cols[-1]:
             cols.pop()
         object.__setattr__(self, "columns", tuple(cols))
+        object.__setattr__(self, "n", sum(map(len, cols)))
         if check:
             self._validate()
 
@@ -120,10 +121,6 @@ class Tableau:
                     raise InvalidTableauError(
                         f"row {r + 1} not increasing: {left[r]} !< {right[r]}"
                     )
-
-    @property
-    def n(self) -> int:
-        return sum(len(c) for c in self.columns)
 
     @property
     def shape(self) -> ColumnShape:
@@ -174,7 +171,11 @@ class Tableau:
         return isinstance(other, Tableau) and self.columns == other.columns
 
     def __hash__(self) -> int:
-        return hash(self.columns)
+        try:
+            return self._hash
+        except AttributeError:
+            object.__setattr__(self, "_hash", hash(self.columns))
+        return self._hash
 
     def __repr__(self) -> str:
         return f"Tableau({list(map(list, self.columns))!r})"

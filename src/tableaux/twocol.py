@@ -5,12 +5,12 @@ two-column tableau emits one value per step; read in emission order these
 values form the canonical word of the tableau.  On two columns a step
 needs no insertion machinery: when the foot of column 2 holds the maximum,
 it replaces the foot of column 1, whose value is emitted; otherwise the
-foot of column 1 is the maximum and is emitted itself.  The trace is
-built on the two columns as plain lists.  The canonical word maps
-back to the tableau under RS insertion and is the unique weak-order
-maximum of its cell, which turns tableau comparison into a single word
-comparison (``fast_leq``).  The paper's membership criterion states the
-same comparison without the second word:
+foot of column 1 is the maximum and is emitted itself.  The trace runs
+on two plain lists and keeps only its steps; snapshots are replayed from
+them on first read.  The canonical word maps back to the tableau under RS
+insertion and is the unique weak-order maximum of its cell, so tableaux
+compare by one AND of two cached inversion masks (``fast_leq``).  The
+paper's membership criterion states the same comparison without the second word:
 
     T below S  iff  the second column of S is contained in the second
     column of T, and every second-column entry x of S pushes out (at the
@@ -39,7 +39,7 @@ from typing import Mapping, NamedTuple
 from .config import CACHE_BOUND
 from .errors import InvalidTableauError
 from .tableau import Tableau, row_text
-from .words import Word, reverse, weak_leq
+from .words import Word, reverse
 
 
 class TraceStep(NamedTuple):
@@ -50,19 +50,37 @@ class TraceStep(NamedTuple):
 
 @dataclass(frozen=True)
 class DeletionTrace:
-    """Full record of the maximal-entry deletion sequence of a tableau.
+    """The maximal-entry deletion sequence of a tableau: its input and its
+    ``steps``, from which both mappings are replayed on first read and kept.
 
     ``snapshots[i]`` is the i-box tableau seen before step i runs;
     ``snapshots[n]`` is the input.  ``second_column[x]`` holds, for each
     second-column entry x of the input, the snapshot in which x is the
-    maximum and still sits in column 2, together with the first-column
-    value its deletion pushes out.  Traces are cached and shared, so both
-    mappings are read-only.
+    maximum and still sits in column 2, with the first-column value its
+    deletion pushes out.  Traces are cached and shared, so both are read-only.
     """
 
+    tableau: Tableau
     steps: tuple[TraceStep, ...]
-    snapshots: Mapping[int, Tableau]
-    second_column: Mapping[int, tuple[Tableau, int]]
+
+    @functools.cached_property
+    def snapshots(self) -> Mapping[int, Tableau]:
+        first, second = list(self.tableau.column(1)), list(self.tableau.column(2))
+        out = {len(self.steps): self.tableau}
+        for i, z, a in self.steps[:-1]:
+            if z == a:
+                first.pop()
+            else:
+                second.pop()
+                first[-1] = z
+            # A deletion step keeps the validated input a tableau.
+            out[i - 1] = Tableau((first, second), check=False)
+        return MappingProxyType(out)
+
+    @functools.cached_property
+    def second_column(self) -> Mapping[int, tuple[Tableau, int]]:
+        # A step deletes from column 2 exactly when it emits another value.
+        return MappingProxyType({z: (self.snapshots[i], a) for i, z, a in self.steps if z != a})
 
 
 class CanonicalWord(NamedTuple):
@@ -91,37 +109,31 @@ def canonical_word(t: Tableau) -> CanonicalWord:
     """The canonical cell representative of a two-column tableau, with its
     deletion trace.  RS insertion of the word reproduces the tableau."""
     _require_two_columns(t)
-    n = t.n
     first, second = list(t.column(1)), list(t.column(2))
-    snapshots: dict[int, Tableau] = {n: t}
     steps: list[TraceStep] = []
-    pushed: dict[int, tuple[Tableau, int]] = {}
-    current = t
-    for i in range(n, 0, -1):
+    for i in range(t.n, 0, -1):
         if second and second[-1] > first[-1]:
             z = second.pop()
             a, first[-1] = first[-1], z
-            pushed[z] = (current, a)
         else:
             z = a = first.pop()
         steps.append(TraceStep(index=i, largest=z, emitted=a))
-        if i > 1:
-            # A deletion step keeps the validated input a tableau.
-            current = snapshots[i - 1] = Tableau((first, second), check=False)
     word = Word([step.emitted for step in steps], check=False)
-    return CanonicalWord(word=word, trace=DeletionTrace(
-        steps=tuple(steps), snapshots=MappingProxyType(snapshots),
-        second_column=MappingProxyType(pushed),
-    ))
+    return CanonicalWord(word=word, trace=DeletionTrace(tableau=t, steps=tuple(steps)))
+
+
+@functools.lru_cache(maxsize=CACHE_BOUND)
+def _inversions(t: Tableau) -> int:
+    """Inversion mask of the canonical word of a two-column tableau."""
+    return canonical_word(t).word.inversion_mask()
 
 
 def fast_leq(t: Tableau, s: Tableau) -> bool:
-    """Comparison through canonical words; decides both the chain order and
-    the induced weak order on the two-column family."""
-    w, y = canonical_word(t).word, canonical_word(s).word
-    if w.n != y.n:
-        raise InvalidTableauError(f"size mismatch: {w.n} vs {y.n}")
-    return weak_leq(w, y)
+    """Containment of the canonical words' cached inversion masks; decides
+    both the chain order and the induced weak order on the two-column family."""
+    if t.n != s.n:
+        raise InvalidTableauError(f"size mismatch: {t.n} vs {s.n}")
+    return _inversions(t) & ~_inversions(s) == 0
 
 
 def runs(t: Tableau) -> list[tuple[int, int]]:
@@ -154,19 +166,21 @@ def _move_to_first_column(t: Tableau, x: int) -> Tableau:
         raise InvalidTableauError(f"entry {x} not in the second column")
     col1 = tuple(sorted(t.column(1) + (x,)))
     rest = tuple(v for v in col2 if v != x)
-    return Tableau((col1, rest) if rest else (col1,))
+    # Always a tableau: inserting x lowers or keeps the r-th entry of column 1
+    # and deleting it raises or keeps the r-th of column 2, so rows still increase.
+    return Tableau((col1, rest), check=False)
 
 
 def cover(t: Tableau) -> list[Tableau]:
     """Immediate successors in the (coincident) order on the two-column
     family, by the explicit run-top description."""
     # canonical_word checks two-columnness; a cached trace was checked when built.
-    trace = canonical_word(t).trace
+    steps = canonical_word(t).trace.steps
     out = []
     for start, extra in _runs(t):
         x = start + extra
-        # Still x boxes at x's step: no entry below x has been emitted.
-        if trace.second_column[x][0].n == x:
+        # steps[n - x] is step x; it deletes x iff no entry below x went first.
+        if steps[t.n - x].largest == x:
             out.append(_move_to_first_column(t, x))
     return sorted(out, key=row_text)
 

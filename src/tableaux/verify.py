@@ -30,7 +30,7 @@ from .orders import _chain_poset, _chain_rows, _duflo_poset, _threshold_rows
 from .rsjdt import all_cells, insert
 from .tableau import (
     Tableau, _standard_tableaux, enumerate_tableaux, map_entries, relabel_tableau, row_text)
-from .twocol import _require_two_columns, canonical_word, cover, move_to_first_column
+from .twocol import _inversions, _require_two_columns, cover, move_to_first_column
 from .words import Word, weak_leq
 
 
@@ -89,8 +89,7 @@ def _word_rows(n: int, nodes) -> list[int]:
     """Canonical words compared as rows of their inversion sets, each word
     read once: a family past ``CACHE_BOUND`` costs one trace per node, not per pair."""
     pairs = n * (n - 1) // 2
-    return _threshold_rows([format(canonical_word(t).word.inversion_mask(), f"0{pairs}b")
-                            for t in nodes], "01")
+    return _threshold_rows([format(_inversions(t), f"0{pairs}b") for t in nodes], "01")
 
 
 def cover_recursive(t: Tableau) -> list[Tableau]:

@@ -117,24 +117,27 @@ def test_caches_keyed_by_tableaux_are_bounded():
         else:
             other.append(f"{module}:{name} {text}")
     assert other == []
-    assert bounded == {"_chain_vector", "chain_profile", "canonical_word"}
+    assert bounded == {"_chain_vector", "chain_profile", "canonical_word", "_inversions"}
     assert unbounded == {"_standard_tableaux", "_duflo_poset", "_duflo_base", "_chain_poset",
                          "_layout"}
-    assert per_instance == {"hasse", "_index"}
+    assert per_instance == {"hasse", "_index", "snapshots", "second_column"}
     for fn in (tableaux.orders._chain_vector, tableaux.orders.chain_profile,
-               tableaux.twocol.canonical_word):
+               tableaux.twocol.canonical_word, tableaux.twocol._inversions):
         assert fn.cache_info().maxsize == CACHE_BOUND == 256
 
 
 def test_criterion_reads_each_word_once():
     # The pair suites read each canonical word once, not once per pair, so
-    # they stay linear in a family larger than the bounded cache.
+    # they stay linear in a family larger than the bounded cache.  They read
+    # it through the inversion-mask cache, cleared too so each mask is built.
     for suite, n, limit, m in (("criterion", 9, None, 126), ("cor312", 8, 8, 70)):
         tableaux.twocol.canonical_word.cache_clear()
+        tableaux.twocol._inversions.cache_clear()
         (check,) = tableaux.run_suite(n, suite, limit).checks
         assert check.passed and check.population == m ** 2
-        info = tableaux.twocol.canonical_word.cache_info()
-        assert info.hits + info.misses == info.misses == m
+        for fn in (tableaux.twocol.canonical_word, tableaux.twocol._inversions):
+            info = fn.cache_info()
+            assert info.hits + info.misses == info.misses == m
 
 
 def imported_modules(tree):

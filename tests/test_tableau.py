@@ -10,6 +10,7 @@ from tableaux import (
     InvalidTableauError,
     LimitError,
     Tableau,
+    Word,
     conjugate,
     corners,
     dominance_leq,
@@ -323,3 +324,41 @@ class TestEnumerate:
         assert tuple(enumerate_tableaux(3)) == before
         assert [row_text(s) for s in enumerate_tableaux(3)] == [
             "1 2 3", "1 2; 3", "1 3; 2", "1; 2; 3"]
+
+
+class TestStoredSizeAndHash:
+    def test_hash_is_the_columns_hash(self):
+        for t in all_tableaux(5):
+            assert hash(t) == hash(t.columns) == hash(t)
+
+    def test_equal_tableaux_from_different_routes_hash_equal(self):
+        columns = ((1, 2, 5), (3, 4))
+        routes = [
+            make_tableau(columns),
+            Tableau(columns, check=False),
+            Tableau([list(c) for c in columns] + [[], []], check=False),
+            make_tableau(columns).transpose().transpose(),
+            relabel_tableau(Tableau([(10, 20, 50), (30, 40)])),
+            rs_tableau(Word([5, 2, 4, 1, 3])),
+            next(t for t in enumerate_tableaux(5) if t.columns == columns),
+        ]
+        assert len({id(t) for t in routes}) == len(routes)
+        assert all(t == routes[0] for t in routes)
+        assert {hash(t) for t in routes} == {hash(columns)}
+        assert len(set(routes)) == 1
+
+    def test_size_is_read_only(self):
+        t = make_tableau([(1, 3), (2,)])
+        hash(t)
+        for name in ("n", "_hash"):
+            with pytest.raises(AttributeError):
+                setattr(t, name, 5)
+            with pytest.raises(AttributeError):
+                delattr(t, name)
+        assert t.n == 3 and hash(t) == hash(t.columns)
+
+    def test_unchecked_trailing_empty_columns(self):
+        t = Tableau([(1, 3), (2,), (), ()], check=False)
+        assert t.columns == ((1, 3), (2,)) and t.n == 3 and t.shape == (2, 1)
+        assert t == make_tableau([(1, 3), (2,)])
+        assert Tableau([(), ()], check=False).n == 0

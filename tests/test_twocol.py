@@ -25,6 +25,7 @@ from tableaux import (
     weak_leq,
 )
 from tableaux.tableau import _standard_tableaux
+from tableaux.twocol import _inversions
 from tableaux.verify import cover_recursive, fast_leq_criterion, root_position_set
 
 WORKED_T = [(1, 2, 4, 7), (3, 5, 6)]
@@ -119,15 +120,49 @@ class TestCanonicalWord:
                 assert weak_leq(y, top)
 
 
-    @pytest.mark.parametrize("n", range(0, 10))
+    @pytest.mark.parametrize("n", range(0, 13))
     def test_trace_equals_corner_deletion(self, n):
-        for t in enumerate_tableaux(n, max_columns=2, limit=n):
+        for t in _standard_tableaux(n, 2):
             emitted, steps, snapshots, second = trace_by_corner_deletion(t)
             word, trace = canonical_word(t)
             assert word.entries == tuple(emitted)
             assert trace.steps == tuple(steps)
             assert dict(trace.snapshots) == snapshots
             assert dict(trace.second_column) == second
+
+    @pytest.mark.parametrize("n", range(0, 13))
+    def test_mappings_are_replayed_on_first_read(self, n):
+        # A fresh trace stores its input and steps; either mapping read first
+        # replays the snapshots, and both are kept.
+        for t in _standard_tableaux(n, 2):
+            cached = canonical_word(t).trace
+            trace = canonical_word.__wrapped__(t).trace
+            assert trace.tableau is t and trace == cached
+            assert not {"snapshots", "second_column"} & set(vars(trace))
+            assert dict(trace.second_column) == dict(cached.second_column)
+            assert dict(trace.snapshots) == dict(cached.snapshots)
+            assert trace.snapshots is trace.snapshots
+            with pytest.raises(AttributeError):
+                trace.snapshots = {}
+
+    def test_miss_builds_no_tableau(self, monkeypatch):
+        t = make_tableau([(1, 2, 4, 7, 9, 10), (3, 5, 6, 8, 11)])
+        built = []
+        init = Tableau.__init__
+
+        def spy(self, *args, **kwargs):
+            built.append(args)
+            init(self, *args, **kwargs)
+
+        monkeypatch.setattr(Tableau, "__init__", spy)
+        canonical_word.cache_clear()
+        _inversions.cache_clear()
+        word, trace = canonical_word(t)
+        assert fast_leq(t, t)
+        assert canonical_word.cache_info().misses == _inversions.cache_info().misses == 1
+        assert built == []
+        # The spy sees the snapshots replayed on first read.
+        assert len(trace.snapshots) == t.n and len(built) == t.n - 1
 
     @pytest.mark.parametrize("n", range(0, 9))
     def test_snapshots_pass_full_validation(self, n):
@@ -200,12 +235,16 @@ class TestFastComparison:
             for s, s_inv in inversions.items():
                 assert fast_leq(t, s) == (t_inv <= s_inv)
 
-    @pytest.mark.parametrize("n", range(1, 9))
+    @pytest.mark.parametrize("n", range(1, 10))
     def test_theorem_chain_equals_words(self, n):
+        # fast_leq's masks against the words' weak order, and the two-row
+        # order on the transposes, which reverses it.
         nodes = two_column(n)
+        words = {t: canonical_word(t).word for t in nodes}
         for t in nodes:
             for s in nodes:
-                assert chain_leq(t, s) == fast_leq(t, s)
+                assert chain_leq(t, s) == fast_leq(t, s) == weak_leq(words[t], words[s])
+                assert two_row_leq(s.transpose(), t.transpose()) == fast_leq(t, s)
 
     @pytest.mark.parametrize("n", range(1, 8))
     def test_corollary_duflo_equals_words(self, n):
@@ -295,6 +334,21 @@ class TestMoveToFirstColumn:
         with pytest.raises(InvalidTableauError, match="second column"):
             move_to_first_column(make_tableau([(1, 3), (2, 4)]), 3)
 
+    def test_checks_its_input(self):
+        with pytest.raises(InvalidTableauError, match="columns"):
+            move_to_first_column(make_tableau([(1,), (2,), (3,)]), 2)
+        with pytest.raises(InvalidTableauError, match="standard"):
+            move_to_first_column(Tableau([(2,), (3,)]), 3)
+
+    @pytest.mark.parametrize("n", range(1, 11))
+    def test_results_pass_full_validation(self, n):
+        # Results are built unchecked: any second-column entry, and so every
+        # cover element, moves into a tableau.
+        for t in _standard_tableaux(n, 2):
+            moved = [move_to_first_column(t, x) for x in t.column(2)]
+            for s in moved + cover(t):
+                assert Tableau(s.columns) == s and s.is_standard and s.n == n
+
 
 class TestCover:
     def test_worked_singleton(self):
@@ -330,12 +384,14 @@ class TestCover:
 
     @pytest.mark.parametrize("n", range(1, 13))
     def test_trace_index_rule_matches_projection(self, n):
-        # ``cover`` keeps a run top x when x's trace snapshot still has x
-        # boxes; the rule it replaces compared the snapshot with the straight
-        # projection onto 1..x.  Checked here for every second-column entry.
+        # ``cover`` keeps a run top x when x is deleted at step x: exactly when
+        # x's trace snapshot still has x boxes, and when that snapshot is the
+        # straight projection onto 1..x.  Checked for every second-column entry.
         for t in _standard_tableaux(n, 2):
-            for x, (snapshot, _) in canonical_word(t).trace.second_column.items():
+            trace = canonical_word(t).trace
+            for x, (snapshot, _) in trace.second_column.items():
                 assert (snapshot.n == x) == (project_tableau(t, 1, x) == snapshot)
+                assert (trace.steps[n - x].largest == x) == (snapshot.n == x)
 
     @pytest.mark.parametrize("n", range(1, 8))
     def test_matches_poset_cover(self, n):
