@@ -18,7 +18,7 @@ joined by the pairs along a chain of covers from w to v.  These pairs need
 no word.  Read w from the right: T(w) and T(w s_a) both arise from
 T(w_{a+2} ... w_n), by inserting w_{a+1} then w_a, or w_a then w_{a+1}, and
 then the same letters w_{a-1}, ..., w_1 into both.  RS commutes with
-order-preserving relabelling (Schensted 1961), so every step is taken on
+order-preserving relabelling (Schensted 1961), so every step is read on
 standard tableaux: inserting a letter of rank r among the letters so far
 raises the entries >= r by one and inserts r.  A pair of size k is thus a
 pair of size k - 1 with one rank inserted into both tableaux, or a seed,
@@ -26,12 +26,18 @@ ranks q then p (p < q) against p then q inserted into a tableau of size
 k - 2.  Standardizing maps each word with an ascent to exactly one such
 path, so the pairs of size n are exactly the cover pairs, grown at the cost
 of the distinct pairs per level rather than of the n! words, and closed in
-one pass, sinks first, one OR per pair.  The whole base relation is a lazy
-read (``base_rows``) by a sweep over all the words, one inversion layer at a
-time from the longest word down, carrying per word the tableaux whose cells
-meet its weak-order up-set.  A poset's Hasse diagram is reduced, and so
-checked, on first read, in node order (a linear extension through n = 9), one
-bitset operation per cover.
+one pass, sinks first, one OR per pair.  No step runs an insertion: by
+Fomin's local rule for growth diagrams (Fomin, "Schensted algorithms for
+dual graded graphs", J. Algebraic Combin. 1995), transposed for columns,
+rank r <= k into a tableau of size k with k at the foot of column c is rank
+r into its parent, the tableau without k, with k + 1 put back at the foot
+of c, or of c + 1 if that insertion added its box in c; rank k + 1 goes at
+the foot of column 1.  The corner growth records parents and columns.  The
+whole base relation is a lazy read (``base_rows``) by a sweep over all the
+words, one inversion layer at a time from the longest word down, carrying
+per word the tableaux whose cells meet its weak-order up-set.  A poset's
+Hasse diagram is reduced, and so checked, on first read, in node order (a
+linear extension through n = 9), one bitset operation per cover.
 
 The word-pair scan of the base relation and the subspace form of the weak
 order are independent routes; they live in ``verify`` and the tests.
@@ -50,7 +56,7 @@ from typing import Callable, Iterable, Mapping, Sequence
 from .config import CACHE_BOUND, check_limit
 from .errors import InvalidTableauError
 from .rsjdt import _insert_columns, _slide_out
-from .tableau import ColumnShape, Tableau, _standard_tableaux, row_text
+from .tableau import ColumnShape, Tableau, _corner_tree, _standard_tableaux, row_text
 
 
 class Verdict(enum.Enum):
@@ -343,25 +349,31 @@ def _duflo_base(n: int) -> tuple[int, ...]:
     return tuple(_up_set_sweep(n, {t.columns: i for i, t in enumerate(nodes)}))
 
 
+def _up_table(n: int) -> list[list[tuple[int, ...]]]:
+    """up[k][i][r - 1], for k < n and r = 1..k + 1: tableau i of size k with its entries
+    >= r raised by one and r inserted, as an index at size k + 1, by the local rule on
+    the growth tree; added[k][i][r - 1] is the column, from 0, where it adds its box."""
+    up, added = [[(0,)]], [[(0,)]]
+    for k in range(1, n):
+        _, parent, column = _corner_tree(k, None)
+        grow = [[0] * (k + 1) for _ in parent]  # grow[u][c]: u with k + 1 at the foot of c
+        for j, (u, c) in enumerate(zip(*_corner_tree(k + 1, None)[1:])):
+            grow[u][c] = j
+        up.append([])
+        added.append([])
+        for i, (p, c) in enumerate(zip(parent, column)):
+            pairs = list(zip(up[k - 1][p], added[k - 1][p]))
+            up[k].append((*[grow[u][c + (d == c)] for u, d in pairs], grow[i][0]))
+            added[k].append((*[d + (d == c) for _, d in pairs], 0))
+    return up[:n]
+
+
 def _duflo_edges(n: int) -> set[tuple[int, int]]:
     """The pairs (T(w), T(w s_a)) over the words w of size n with
     w_a < w_{a + 1}, as indices into the standard tableaux of size n, grown
-    level by level on tableaux with no word; a pair with T(w) = T(w s_a)
-    grows only into such pairs, and each level drops them."""
-    # up[k][i][r - 1]: tableau i of size k with its entries >= r raised by
-    # one and r inserted, as an index at size k + 1.
-    up: list[list[tuple[int, ...]]] = []
-    for k in range(n):
-        index = {t.columns: i for i, t in enumerate(_standard_tableaux(k + 1, None))}
-        level = []
-        for t in _standard_tableaux(k, None):
-            grown = []
-            for r in range(1, k + 2):
-                cols = [tuple(v + (v >= r) for v in col) for col in t.columns]
-                _insert_columns(r, cols)
-                grown.append(index[tuple(cols)])
-            level.append(tuple(grown))
-        up.append(level)
+    level by level by the local rule (Fomin 1995), with no word; a pair with
+    T(w) = T(w s_a) grows only into such pairs, and each level drops them."""
+    up = _up_table(n)
     pairs: set[tuple[int, int]] = set()
     for k in range(2, n + 1):
         # The same letter read in front of both words of a pair of size k - 1,

@@ -251,20 +251,27 @@ def enumerate_tableaux(
     yield from _standard_tableaux(n, max_columns)
 
 
-@functools.lru_cache(maxsize=None)
 def _standard_tableaux(n: int, max_columns: int | None) -> tuple[Tableau, ...]:
+    return _corner_tree(n, max_columns)[0]
+
+
+@functools.lru_cache(maxsize=None)
+def _corner_tree(n: int, max_columns: int | None) -> tuple[
+        tuple[Tableau, ...], tuple[int, ...], tuple[int, ...]]:
+    """The standard tableaux of size n in row-form order, with ``parent[i]``, the
+    index of node i with n removed (-1 at n = 0), and ``column[i]``, n's column from 0."""
     # Corner growth: n goes at the foot of every column shorter than its left
     # neighbour, and into a new last column, but never into column max_columns + 1.
     if n == 0:
-        return (EMPTY_TABLEAU,)
+        return (EMPTY_TABLEAU,), (-1,), (-1,)
     grown = []
-    for t in _standard_tableaux(n - 1, max_columns):
+    for p, t in enumerate(_corner_tree(n - 1, max_columns)[0]):
         cols = t.columns
         width = len(cols) + 1 if max_columns is None else min(len(cols) + 1, max_columns)
         for c in range(width):
             if c == len(cols):
-                grown.append(Tableau(cols + ((n,),), check=False))
+                grown.append((Tableau(cols + ((n,),), check=False), p, c))
             elif c == 0 or len(cols[c]) < len(cols[c - 1]):
-                grown.append(Tableau(
-                    cols[:c] + (cols[c] + (n,),) + cols[c + 1:], check=False))
-    return tuple(sorted(grown, key=_row_key))
+                grown.append((Tableau(
+                    cols[:c] + (cols[c] + (n,),) + cols[c + 1:], check=False), p, c))
+    return tuple(zip(*sorted(grown, key=lambda node: _row_key(node[0]))))

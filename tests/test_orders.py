@@ -37,7 +37,7 @@ from tableaux import (
 )
 from tableaux.errors import LimitError
 from tableaux.rsjdt import insert
-from tableaux import orders, tableau, verify
+from tableaux import orders, rsjdt, tableau, verify
 from tableaux.verify import (
     coincide_check,
     duflo_base_by_scan,
@@ -53,6 +53,20 @@ def mahonian(n):
     for m in range(1, n + 1):
         counts = [sum(counts[max(0, k - m + 1):k + 1]) for k in range(len(counts) + m - 1)]
     return counts
+
+
+def relabel_and_insert_table(n):
+    """up[k][i][r - 1]: tableau i of size k with its entries >= r raised by
+    one and r inserted, as an index at size k + 1; RS commutes with
+    order-preserving relabelling (Schensted 1961)."""
+    up, grown = [], tableau._standard_tableaux  # enumerate_tableaux stops at the cap
+    for k in range(n):
+        index = {t: i for i, t in enumerate(grown(k + 1, None))}
+        up.append([tuple(index[insert(r, Tableau([[v + (v >= r) for v in col]
+                                                   for col in t.columns]))]
+                         for r in range(1, k + 2))
+                   for t in grown(k, None)])
+    return up
 
 
 def pair_loop_hasse(rows):
@@ -447,10 +461,9 @@ class TestDufloPoset:
         assert duflo_poset(4).restrict(lambda t: True).base_rows is None
 
     def test_build_sweeps_no_words(self, monkeypatch):
-        # The build grows cover pairs on tableaux: no word sweep, and one
-        # insertion per tableau of size k < 8 and rank r = 1..k + 1, that is
-        # the sum of f_k (k + 1) over the tableau counts f_k.  Only the lazy
-        # base_rows sweeps, all 8! words, once.
+        # The build grows cover pairs on tableaux: no word sweep, and no
+        # insertion, since the up-table follows the local rule on the growth
+        # tree.  Only the lazy base_rows sweeps, all 8! words, once.
         sweep, sweep_layer, insert_columns = (orders._up_set_sweep, orders._sweep_layer,
                                               orders._insert_columns)
         sweeps, layers, inserted = [], [], []
@@ -470,16 +483,25 @@ class TestDufloPoset:
         monkeypatch.setattr(orders, "_up_set_sweep", sweep_spy)
         monkeypatch.setattr(orders, "_sweep_layer", layer_spy)
         monkeypatch.setattr(orders, "_insert_columns", insert_spy)
+        monkeypatch.setattr(rsjdt, "_insert_columns", insert_spy)
         monkeypatch.setattr(orders, "_duflo_base",
                             functools.lru_cache(maxsize=None)(orders._duflo_base.__wrapped__))
         p = orders._duflo_poset.__wrapped__(8)
         assert len(p.hasse) == 2498
         assert sweeps == layers == []
-        counts = [1, 1, 2, 4, 10, 26, 76, 232]
-        assert len(inserted) == sum(f * (k + 1) for k, f in enumerate(counts)) == 2619
+        assert inserted == []
         assert p.base_rows == p.base_rows
         assert sweeps == [8]
         assert sum(layers) == sum(mahonian(8)) == 40320
+
+    def test_up_table_matches_relabel_and_insert(self):
+        # The local rule against the table's definition, level by level.
+        table = relabel_and_insert_table(10)
+        for n in range(11):
+            assert orders._up_table(n) == table[:n]
+
+    def test_pair_count_at_11(self):
+        assert len(orders._duflo_edges(11)) == 469580
 
     @pytest.mark.parametrize("n", range(1, 7))
     def test_edges_are_the_word_covers(self, n):

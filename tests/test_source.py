@@ -118,7 +118,7 @@ def test_caches_keyed_by_tableaux_are_bounded():
             other.append(f"{module}:{name} {text}")
     assert other == []
     assert bounded == {"_chain_vector", "chain_profile", "canonical_word", "_inversions"}
-    assert unbounded == {"_standard_tableaux", "_duflo_poset", "_duflo_base", "_chain_poset",
+    assert unbounded == {"_corner_tree", "_duflo_poset", "_duflo_base", "_chain_poset",
                          "_layout"}
     assert per_instance == {"hasse", "_index", "snapshots", "second_column"}
     for fn in (tableaux.orders._chain_vector, tableaux.orders.chain_profile,

@@ -23,7 +23,8 @@ from tableaux import (
     tau_tableau,
 )
 from tableaux.tableau import (
-    _row_key, _standard_tableaux, map_entries, shape_corners, validate_shape)
+    EMPTY_TABLEAU, _corner_tree, _row_key, _standard_tableaux, map_entries, shape_corners,
+    validate_shape)
 
 INVOLUTIONS = {1: 1, 2: 2, 3: 4, 4: 10, 5: 26, 6: 76, 7: 232}
 
@@ -291,6 +292,18 @@ class TestEnumerate:
     def test_row_key_gives_the_row_text_order(self, n, max_columns):
         grown = _standard_tableaux(n, max_columns)
         assert list(grown) == sorted(grown, key=row_text)
+
+    @pytest.mark.parametrize("max_columns", (None, 2))
+    @pytest.mark.parametrize("n", range(1, 10))
+    def test_corner_tree_names_parent_and_column(self, n, max_columns):
+        nodes, parent, column = _corner_tree(n, max_columns)
+        smaller = _standard_tableaux(n - 1, max_columns)
+        assert nodes == _standard_tableaux(n, max_columns)
+        assert len(parent) == len(column) == len(nodes)
+        for t, p, c in zip(nodes, parent, column):
+            assert t.col_of(n) == c + 1
+            assert smaller[p] == Tableau([[v for v in col if v != n] for col in t.columns])
+        assert _corner_tree(0, max_columns) == ((EMPTY_TABLEAU,), (-1,), (-1,))
 
     def test_row_key_compares_entries_as_numbers(self):
         # As strings "1 10" < "1 9", and "1 10; 2" < "1 2; 3" by the digit 0.

@@ -6,7 +6,7 @@ import pytest
 
 from conftest import two_column
 from tableaux import (
-    canonical_word, chain_leq, duflo_poset, orders, row_text, tableau, verify, weak_leq)
+    canonical_word, chain_leq, duflo_poset, orders, row_text, tableau, weak_leq)
 from tableaux.orders import _chain_rows as chain_rows
 from tableaux.verify import _compare_rows, _first_pair, _word_rows, run_suite
 
@@ -73,7 +73,7 @@ class TestFirstPair:
 
 def test_thm311_at_9_grows_only_the_two_column_family(monkeypatch):
     # Reaching the family by filtering every standard tableau must not return.
-    grown = tableau._standard_tableaux
+    grown = tableau._corner_tree
     calls = []
 
     def spy(n, max_columns):
@@ -81,13 +81,14 @@ def test_thm311_at_9_grows_only_the_two_column_family(monkeypatch):
         return grown(n, max_columns)
 
     grown.cache_clear()
-    # verify reads the build directly; the growth recurses through the module.
-    monkeypatch.setattr(verify, "_standard_tableaux", spy)
-    monkeypatch.setattr(tableau, "_standard_tableaux", spy)
+    # Every read of the family and every step of the growth's recursion go
+    # through the module's cached corner tree.
+    monkeypatch.setattr(tableau, "_corner_tree", spy)
     report = run_suite(9, "thm311", limit=9)
     assert report.passed and report.checks[0].population == 126 ** 2
     assert (9, 2) in calls
     assert {max_columns for _, max_columns in calls} == {2}
+    assert {n for n, _ in calls} == set(range(10))
 
 
 def test_run_suite_at_9_reduces_only_the_cover_restriction(monkeypatch):
