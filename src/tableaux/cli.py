@@ -100,15 +100,16 @@ def _cmd_compare(args) -> int:
         raise InvalidTableauError(f"size mismatch: {t.n} vs {s.n}")
     two_col = len(t.columns) <= 2 and len(s.columns) <= 2
 
-    # Under --order all, a size beyond the Duflo cap leaves the other
-    # verdicts to answer on their own.
+    # Under --order all, a size beyond the Duflo cap leaves the other verdicts to answer on
+    # their own.  Two-column tableaux are an up-set of the Duflo order: its poset decides them.
     duflo_known = args.order == "duflo"
     if args.order == "all":
         duflo_cap = effective_limit(args.limit_n)
         duflo_known = t.n <= duflo_cap
     verdicts: dict[str, Verdict] = {}
     if duflo_known:
-        verdicts["duflo"] = compare(t, s, duflo_poset(t.n, limit=args.limit_n).leq)
+        poset = duflo_poset(t.n, limit=args.limit_n, max_columns=2 if two_col else None)
+        verdicts["duflo"] = compare(t, s, poset.leq)
     if args.order in ("chain", "all"):
         verdicts["chain"] = compare(t, s, chain_leq)
     if args.order in ("fast", "all"):
@@ -194,10 +195,8 @@ def _cmd_cell(args) -> int:
 
 
 def _cmd_poset(args) -> int:
-    kind = args.kind
-    poset = (duflo_poset if kind == "duflo" else chain_poset)(args.n, limit=args.limit_n)
-    if args.restrict == "two-column":
-        poset = poset.restrict(lambda t: len(t.columns) <= 2)
+    poset = (duflo_poset if args.kind == "duflo" else chain_poset)(
+        args.n, limit=args.limit_n, max_columns=2 if args.restrict == "two-column" else None)
     text = poset_to_dot(poset) if args.format == "dot" else poset_to_json(poset)
     if args.output:
         with open(args.output, "w") as handle:

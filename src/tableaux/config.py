@@ -6,8 +6,8 @@ size cap, ``HARD_CEILING``.  It can be lowered per call (``limit=``), or
 process-wide through the ``TABLEAUX_LIMIT_N`` environment variable, but
 never raised.  Of the capped builds only word enumeration pays for the n!
 words.  Tableaux (2620 at n = 9), cells and the two-column family (126)
-grow box by box at their own cost, and the Duflo poset grows its cover
-pairs on tableaux (22844 distinct pairs at n = 9, built in about 0.22 s).
+grow box by box at their own cost, and so do the Duflo cover pairs (22844 at
+n = 9: grown in 0.03 s, closed in 0.01 s on a 2-core Xeon, CPython 3.11).
 
 ``CACHE_BOUND`` caps every cache keyed by a tableau (chain vectors, profiles,
 canonical words, their inversion masks); caches keyed by sizes are unbounded.

@@ -33,6 +33,8 @@ rank r <= k into a tableau of size k with k at the foot of column c is rank
 r into its parent, the tableau without k, with k + 1 put back at the foot
 of c, or of c + 1 if that insertion added its box in c; rank k + 1 goes at
 the foot of column 1.  The corner growth records parents and columns.  The
+tableaux of at most k columns are an up-set of both orders (a shape that
+dominates one of them has at most k columns), so their pairs grow alone.  The
 whole base relation is a lazy read (``base_rows``) by a sweep over all the
 words, one inversion layer at a time from the longest word down, carrying
 per word the tableaux whose cells meet its weak-order up-set.  A poset's
@@ -54,7 +56,7 @@ from types import MappingProxyType
 from typing import Callable, Iterable, Mapping, Sequence
 
 from .config import CACHE_BOUND, check_limit
-from .errors import InvalidTableauError
+from .errors import InvalidTableauError, LimitError
 from .rsjdt import _insert_columns, _slide_out
 from .tableau import ColumnShape, Tableau, _corner_tree, _standard_tableaux, row_text
 
@@ -166,14 +168,13 @@ def chain_leq(t: Tableau, s: Tableau) -> bool:
 
 
 def hasse_reduce(rows: Sequence[int]) -> list[tuple[int, int]]:
-    """Transitive reduction of a finite partial order given as row bitmasks,
-    checked on the way.  In a linear extension an order's rows have no bit
-    below the diagonal, node i's covers come by taking the lowest strict bit
-    k left and clearing row k, and it is transitive exactly when each row is
-    {i} joined with its covers' rows: one bitset operation per cover, on the
-    rows as given if each has bit i and none below (both posets' rows do
-    for n <= 9, and so do their restrictions: a sub-order of a linear
-    extension is one), else after a re-index by decreasing up-set size."""
+    """Transitive reduction of a finite partial order given as row bitmasks, checked on the
+    way.  In a linear extension an order's rows have no bit below the diagonal, node i's
+    covers come by taking the lowest strict bit k left and clearing row k, and it is
+    transitive exactly when each row is {i} joined with its covers' rows: one bitset
+    operation per cover, on the rows as given if each has bit i and none below (both posets'
+    rows do for n <= 9, under any column bound too: a sub-order of a linear extension is
+    one), else after a re-index by decreasing up-set size."""
     m = len(rows)
     order: Sequence[int] = range(m)
     ext = list(rows)
@@ -217,7 +218,7 @@ class TableauPoset:
     ``leq_rows[i]`` has bit j set when node i is below node j.  ``hasse``
     and the node index are derived on first read; reducing checks the order.
     ``base_rows`` is the Duflo relation before closure, cached per n; it is
-    None for the chain kind and for restricted posets.  Posets are cached
+    None for the chain kind and under a column bound.  Posets are cached
     and shared, so they are frozen.
     """
 
@@ -252,15 +253,6 @@ class TableauPoset:
         i = self.index_of(t)
         return [self.nodes[b] for a, b in self.hasse if a == i]
 
-    def restrict(self, predicate: Callable[[Tableau], bool]) -> "TableauPoset":
-        """Sub-poset on the nodes satisfying ``predicate``; its Hasse
-        diagram is reduced from the restricted relation when first read."""
-        keep = [i for i, t in enumerate(self.nodes) if predicate(t)]
-        rows = [sum(1 << new_b for new_b, b in enumerate(keep) if self.leq_rows[a] >> b & 1)
-                for a in keep]
-        return TableauPoset(kind=self.kind, n=self.n, nodes=tuple(self.nodes[i] for i in keep),
-                            leq_rows=tuple(rows))
-
 
 def _closure(nodes: Sequence[Tableau], pairs: Iterable[tuple[int, int]]) -> list[int]:
     """Transitive closure of ``pairs`` (indices into ``nodes``) as reflexive
@@ -291,10 +283,18 @@ def _closure(nodes: Sequence[Tableau], pairs: Iterable[tuple[int, int]]) -> list
     return rows
 
 
-def duflo_poset(n: int, limit: int | None = None) -> TableauPoset:
-    """The induced weak-order poset on all standard tableaux of size n."""
-    check_limit(n, "Duflo poset", limit)
-    return _duflo_poset(n)
+def _family(n: int, what: str, limit: int | None, max_columns: int | None) -> tuple[int, ...]:
+    """Check a build's size and its column bound, none for the whole poset (one cached build)."""
+    check_limit(n, what, limit)
+    if max_columns is not None and max_columns < 1:
+        raise LimitError(f"max_columns must be at least 1, got {max_columns}")
+    return () if max_columns is None or max_columns >= n else (max_columns,)
+
+
+def duflo_poset(n: int, limit: int | None = None, *,
+                max_columns: int | None = None) -> TableauPoset:
+    """The induced weak order on the standard tableaux of size n, or of at most ``max_columns``."""
+    return _duflo_poset(n, *_family(n, "Duflo poset", limit, max_columns))
 
 
 def _sweep_layer(n: int, layer: dict[int, int], known: dict[int, int],
@@ -349,15 +349,16 @@ def _duflo_base(n: int) -> tuple[int, ...]:
     return tuple(_up_set_sweep(n, {t.columns: i for i, t in enumerate(nodes)}))
 
 
-def _up_table(n: int) -> list[list[tuple[int, ...]]]:
+def _up_table(n: int, max_columns: int | None) -> list[list[tuple[int, ...]]]:
     """up[k][i][r - 1], for k < n and r = 1..k + 1: tableau i of size k with its entries
     >= r raised by one and r inserted, as an index at size k + 1, by the local rule on
-    the growth tree; added[k][i][r - 1] is the column, from 0, where it adds its box."""
-    up, added = [[(0,)]], [[(0,)]]
+    the growth tree (-1 once it has more than ``max_columns`` columns, and a level's row
+    -1 is all -1); added[k][i][r - 1] is the column, from 0, where it adds its box."""
+    up, added = [[(0,), (-1,)]], [[(0,)]]
     for k in range(1, n):
-        _, parent, column = _corner_tree(k, None)
-        grow = [[0] * (k + 1) for _ in parent]  # grow[u][c]: u with k + 1 at the foot of c
-        for j, (u, c) in enumerate(zip(*_corner_tree(k + 1, None)[1:])):
+        _, parent, column = _corner_tree(k, max_columns)
+        grow = [[-1] * (k + 1) for _ in (*parent, -1)]  # grow[u][c]: u with k + 1 at the foot of c
+        for j, (u, c) in enumerate(zip(*_corner_tree(k + 1, max_columns)[1:])):
             grow[u][c] = j
         up.append([])
         added.append([])
@@ -365,15 +366,16 @@ def _up_table(n: int) -> list[list[tuple[int, ...]]]:
             pairs = list(zip(up[k - 1][p], added[k - 1][p]))
             up[k].append((*[grow[u][c + (d == c)] for u, d in pairs], grow[i][0]))
             added[k].append((*[d + (d == c) for _, d in pairs], 0))
+        up[k].append((-1,) * (k + 1))
     return up[:n]
 
 
-def _duflo_edges(n: int) -> set[tuple[int, int]]:
-    """The pairs (T(w), T(w s_a)) over the words w of size n with
-    w_a < w_{a + 1}, as indices into the standard tableaux of size n, grown
-    level by level by the local rule (Fomin 1995), with no word; a pair with
-    T(w) = T(w s_a) grows only into such pairs, and each level drops them."""
-    up = _up_table(n)
+def _duflo_edges(n: int, max_columns: int | None) -> set[tuple[int, int]]:
+    """The pairs (T(w), T(w s_a)) over the words w of size n with w_a < w_{a + 1}, as indices
+    into the standard tableaux of size n, grown level by level by the local rule (Fomin 1995),
+    with no word; a pair with T(w) = T(w s_a) grows only into such pairs, and each level drops
+    them, and the pairs that leave the family of at most ``max_columns`` columns."""
+    up = _up_table(n, max_columns)
     pairs: set[tuple[int, int]] = set()
     for k in range(2, n + 1):
         # The same letter read in front of both words of a pair of size k - 1,
@@ -386,15 +388,19 @@ def _duflo_edges(n: int) -> set[tuple[int, int]]:
                     c, d = last[row[q - 2]][p - 1], last[row[p - 1]][q - 1]
                     if c != d:
                         pairs.add((c, d))
+        if max_columns is not None and k > max_columns:
+            pairs = {(c, d) for c, d in pairs if c >= 0}
+            if any(d < 0 for _, d in pairs):  # The family is an up-set: this cannot happen.
+                raise RuntimeError(f"a Duflo pair of size {k} leaves the family by its upper end")
     return pairs
 
 
 @functools.lru_cache(maxsize=None)
-def _duflo_poset(n: int) -> TableauPoset:
-    nodes = _standard_tableaux(n, None)
-    rows = _closure(nodes, _duflo_edges(n))
+def _duflo_poset(n: int, max_columns: int | None = None) -> TableauPoset:
+    nodes = _standard_tableaux(n, max_columns)
+    rows = _closure(nodes, _duflo_edges(n, max_columns))
     return TableauPoset(kind="duflo", n=n, nodes=nodes, leq_rows=tuple(rows),
-                        _base_of=_duflo_base)
+                        _base_of=_duflo_base if max_columns is None else None)
 
 
 def _threshold_rows(texts: Sequence[str], alphabet: str, shared: Iterable[int] = ()) -> list[int]:
@@ -417,24 +423,19 @@ def _threshold_rows(texts: Sequence[str], alphabet: str, shared: Iterable[int] =
     return [partial[t] for t in texts]
 
 
-def _chain_rows(nodes: Sequence[Tableau]) -> list[int]:
-    """The chain order on same-size ``nodes``: the last C(m + 1, 3) fields are a sub-tableau's."""
-    n = nodes[0].n
-    texts = [_fields(v, _layout(n)[0]) for v in _chain_vectors(nodes)]
-    return _threshold_rows(texts, "".join(map(chr, range(n + 1))),
-                           [(m + 1) * m * (m - 1) // 6 for m in range(2, n)])
-
-
-def chain_poset(n: int, limit: int | None = None) -> TableauPoset:
-    """The chain-order poset on all standard tableaux of size n."""
-    check_limit(n, "chain poset", limit)
-    return _chain_poset(n)
+def chain_poset(n: int, limit: int | None = None, *,
+                max_columns: int | None = None) -> TableauPoset:
+    """The chain order on the standard tableaux of size n, or of at most ``max_columns``."""
+    return _chain_poset(n, *_family(n, "chain poset", limit, max_columns))
 
 
 @functools.lru_cache(maxsize=None)
-def _chain_poset(n: int) -> TableauPoset:
-    nodes = _standard_tableaux(n, None)
-    return TableauPoset(kind="chain", n=n, nodes=nodes, leq_rows=tuple(_chain_rows(nodes)))
+def _chain_poset(n: int, max_columns: int | None = None) -> TableauPoset:
+    nodes = _standard_tableaux(n, max_columns)
+    texts = [_fields(v, _layout(n)[0]) for v in _chain_vectors(nodes)]
+    rows = _threshold_rows(texts, "".join(map(chr, range(n + 1))),
+                           [(m + 1) * m * (m - 1) // 6 for m in range(2, n)])
+    return TableauPoset(kind="chain", n=n, nodes=nodes, leq_rows=tuple(rows))
 
 
 def poset_to_json(poset: TableauPoset) -> str:

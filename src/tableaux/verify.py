@@ -4,8 +4,8 @@ independent routes they check production against.
 
 Each suite examines a full population (all pairs of two-column tableaux,
 all nodes of a poset, ...) and reports a pass/fail with a counterexample
-when one exists; pair suites compare relations as rows of bitmasks, and
-``thm311`` builds both of its rows with no pair loop.  ``SUITES`` records,
+when one exists; pair suites compare relations as rows of bitmasks, and the
+two-column suites read each order grown on that family alone.  ``SUITES`` records,
 per suite, the sizes its claim covers (the orders coincide up to n = 5; a
 proper extension is sought from n = 6 on); ``run_suite(n)`` runs and times
 every suite whose claim covers n; it resolves the size cap once, from
@@ -26,7 +26,7 @@ from typing import Iterator
 
 from .config import effective_limit
 from .errors import InvalidTableauError, InvalidWordError, LimitError
-from .orders import _chain_poset, _chain_rows, _duflo_poset, _threshold_rows
+from .orders import _chain_poset, _duflo_poset, _threshold_rows
 from .rsjdt import all_cells, insert
 from .tableau import (
     Tableau, _standard_tableaux, enumerate_tableaux, map_entries, relabel_tableau, row_text)
@@ -183,15 +183,15 @@ def subspace_leq(w: Word, y: Word) -> bool:
 
 def thm311_check(n: int) -> CheckResult:
     """Chain order equals the canonical-word comparison on two-column pairs."""
-    nodes = _standard_tableaux(n, 2)
-    chain_rows = _chain_rows(nodes)
-    return _compare_rows("thm311", n, nodes, chain_rows, _word_rows(n, nodes), "chain-vs-word")
+    poset = _chain_poset(n, 2)
+    return _compare_rows("thm311", n, poset.nodes, poset.leq_rows,
+                         _word_rows(n, poset.nodes), "chain-vs-word")
 
 
 def cor312_check(n: int) -> CheckResult:
-    """The induced weak order restricted to two-column nodes equals the
-    canonical-word comparison."""
-    poset = _duflo_poset(n).restrict(lambda t: len(t.columns) <= 2)
+    """The induced weak order on two-column nodes, grown on them alone, equals
+    the canonical-word comparison."""
+    poset = _duflo_poset(n, 2)
     return _compare_rows("cor312", n, poset.nodes, poset.leq_rows,
                          _word_rows(n, poset.nodes), "duflo-vs-word")
 
@@ -207,7 +207,7 @@ def criterion_check(n: int) -> CheckResult:
 def prop316_check(n: int) -> CheckResult:
     """Explicit cover = recursive cover = brute-force poset cover on the
     two-column family."""
-    poset = _duflo_poset(n).restrict(lambda t: len(t.columns) <= 2)
+    poset = _duflo_poset(n, 2)
     bad = next((f"T={row_text(t)} order=cover" for t in poset.nodes
                 if not cover(t) == cover_recursive(t) == sorted(poset.cover_of(t), key=row_text)),
                None)

@@ -4,7 +4,7 @@ These recompute definitions from scratch on raw tuples so that package
 results can be checked against a second route.
 """
 
-from tableaux import Tableau, enumerate_tableaux, enumerate_words
+from tableaux import Tableau, TableauPoset, enumerate_tableaux, enumerate_words
 
 
 def brute_inversions(entries):
@@ -59,6 +59,17 @@ def all_tableaux(n, max_columns=None):
 
 def two_column(n):
     return all_tableaux(n, max_columns=2)
+
+
+def restricted(poset, max_columns):
+    """The sub-poset of ``poset`` on its nodes of at most ``max_columns``
+    columns, cut out of the whole relation bit by bit: the oracle for the
+    posets that the package grows on such a family alone."""
+    kept = [i for i, t in enumerate(poset.nodes) if len(t.columns) <= max_columns]
+    rows = [sum(1 << new for new, b in enumerate(kept) if poset.leq_rows[a] >> b & 1)
+            for a in kept]
+    return TableauPoset(kind=poset.kind, n=poset.n, nodes=tuple(poset.nodes[i] for i in kept),
+                        leq_rows=tuple(rows))
 
 
 def standard_relabel(entries):

@@ -9,7 +9,7 @@ import random
 
 import pytest
 
-from conftest import all_tableaux, all_words, two_column
+from conftest import all_tableaux, all_words, restricted, two_column
 from tableaux import (
     Word,
     canonical_word,
@@ -130,7 +130,7 @@ class TestCriterion3InducedOrderAgreement:
 class TestCriterion4Covers:
     @pytest.mark.parametrize("n", range(1, 8))
     def test_three_route_cover_agreement(self, n):
-        poset = duflo_poset(n).restrict(lambda t: len(t.columns) <= 2)
+        poset = restricted(duflo_poset(n), 2)
         bad = sum(
             1
             for t in poset.nodes

@@ -2,7 +2,7 @@ import json
 
 import pytest
 
-from tableaux import row_text
+from tableaux import cli, duflo_poset, row_text
 from tableaux.cli import main
 from tableaux.verify import SUITES
 from conftest import two_column
@@ -55,6 +55,26 @@ class TestCompare:
         code, out, _ = run(capsys, "compare", "1 2; 3 4", "1 2; 3; 4")
         assert code == 0
         assert out == "duflo: Less\nchain: Less\nfast: Less\ngeometric: Less\n"
+
+    @pytest.mark.parametrize("n", range(1, 7))
+    def test_two_column_pairs_read_the_family_build(self, capsys, monkeypatch, n):
+        # The two-column family is an up-set of the Duflo order, so the poset
+        # grown on it decides a pair of its tableaux exactly: every output is
+        # the one the whole poset gives.
+        nodes, bounds = [row_text(t) for t in two_column(n)], []
+
+        def outputs(bound):
+            def build(n, limit=None, *, max_columns=None):
+                bounds.append(max_columns)
+                return duflo_poset(n, limit, max_columns=bound(max_columns))
+
+            monkeypatch.setattr(cli, "duflo_poset", build)
+            return [run(capsys, "compare", a, b) for a in nodes for b in nodes]
+
+        family = outputs(lambda asked: asked)
+        assert bounds == [2] * len(nodes) ** 2
+        assert all(code == 0 for code, _, _ in family)
+        assert outputs(lambda asked: None) == family
 
     def test_size_mismatch(self, capsys):
         code, _, err = run(capsys, "compare", "1 2", "1 2; 3")

@@ -11,7 +11,7 @@ import types
 import pytest
 from hypothesis import given, strategies as st
 
-from conftest import all_tableaux, all_words, componentwise_rows, two_column
+from conftest import all_tableaux, all_words, componentwise_rows, restricted, two_column
 from tableaux import (
     InvalidTableauError,
     Tableau,
@@ -328,13 +328,14 @@ def tuple_leq(t, s):
 class TestPackedVectors:
     @pytest.mark.parametrize("n", range(0, 10))
     def test_chain_rows_match_the_tuple_oracle(self, n):
-        nodes = all_tableaux(n)
-        assert orders._chain_rows(nodes) == componentwise_rows([tuple_vector(t) for t in nodes])
+        p = orders._chain_poset.__wrapped__(n)
+        assert list(p.leq_rows) == componentwise_rows([tuple_vector(t) for t in p.nodes])
 
     @pytest.mark.parametrize("n", range(0, 13))
     def test_two_column_rows_match_the_tuple_oracle(self, n):
-        nodes = tableau._standard_tableaux(n, 2)
-        assert orders._chain_rows(nodes) == componentwise_rows([tuple_vector(t) for t in nodes])
+        p = orders._chain_poset.__wrapped__(n, 2)
+        assert p.nodes == tableau._standard_tableaux(n, 2)
+        assert list(p.leq_rows) == componentwise_rows([tuple_vector(t) for t in p.nodes])
 
     @pytest.mark.parametrize("n", range(0, 7))
     def test_chain_leq_matches_the_tuple_comparison(self, n):
@@ -423,6 +424,12 @@ class TestChainPoset:
         assert digest == "70aae659fcf5ec95dd4129444a1c99c0a7dad960a1d012c44f5f342dc951945b"
         digest = hashlib.sha256(poset_to_dot(p).encode()).hexdigest()
         assert digest == "7897cf9cc0b4fd56989a9c13d732df4c994cb0de3493f4ba9f5c879c22fa9ca3"
+        # The two-column exports, grown on the family, as cut out of the whole poset.
+        family = chain_poset(9, limit=9, max_columns=2)
+        digest = hashlib.sha256(poset_to_json(family).encode()).hexdigest()
+        assert digest == "e23288729ffa4419ade3dc62bf1c385b942620c3e2965bfecda1c6ef401f4b69"
+        digest = hashlib.sha256(poset_to_dot(family).encode()).hexdigest()
+        assert digest == "865f33bf211a397b586f37caf56fde93babad5ccd08988454f5c4e947362c64e"
 
     def test_pinned_at_8(self):
         digest = hashlib.sha256(poset_to_json(chain_poset(8)).encode()).hexdigest()
@@ -458,7 +465,11 @@ class TestDufloPoset:
 
     def test_base_rows_only_on_full_duflo_posets(self):
         assert chain_poset(4).base_rows is None
-        assert duflo_poset(4).restrict(lambda t: True).base_rows is None
+        assert chain_poset(4, max_columns=2).base_rows is None
+        assert duflo_poset(4, max_columns=2).base_rows is None
+        # A bound of n columns or more is the whole poset, one cached build.
+        assert duflo_poset(4, max_columns=4) is duflo_poset(4)
+        assert duflo_poset(4, max_columns=4).base_rows == duflo_base_by_scan(4)
 
     def test_build_sweeps_no_words(self, monkeypatch):
         # The build grows cover pairs on tableaux: no word sweep, and no
@@ -496,12 +507,59 @@ class TestDufloPoset:
 
     def test_up_table_matches_relabel_and_insert(self):
         # The local rule against the table's definition, level by level.
+        # Each level ends in the row that a tableau out of a column bound
+        # reads; with no bound no entry names it.
         table = relabel_and_insert_table(10)
         for n in range(11):
-            assert orders._up_table(n) == table[:n]
+            up = orders._up_table(n, None)
+            assert [level[:-1] for level in up] == table[:n]
+            assert [level[-1] for level in up] == [(-1,) * (k + 1) for k in range(n)]
+
+    @pytest.mark.parametrize("max_columns", (1, 2, 3))
+    def test_family_up_table_renumbers_the_whole_table(self, max_columns):
+        # Under a column bound a row is the whole table's, renumbered into
+        # the family, with -1 for a tableau that leaves it.
+        table, grown = relabel_and_insert_table(9), tableau._standard_tableaux
+        for n in range(10):
+            up = orders._up_table(n, max_columns)
+            for k in range(n):
+                whole = {t: i for i, t in enumerate(grown(k, None))}
+                above = [t.columns for t in grown(k + 1, None)]
+                renumber = {t.columns: j for j, t in enumerate(grown(k + 1, max_columns))}
+                want = [tuple(renumber.get(above[j], -1) for j in table[k][whole[t]])
+                        for t in grown(k, max_columns)]
+                assert up[k] == [*want, (-1,) * (k + 1)]
 
     def test_pair_count_at_11(self):
-        assert len(orders._duflo_edges(11)) == 469580
+        assert len(orders._duflo_edges(11, None)) == 469580
+
+    @pytest.mark.parametrize("n", range(1, 9))
+    @pytest.mark.parametrize("max_columns", (1, 2, 3))
+    def test_family_edges_are_the_whole_edges_from_the_family(self, n, max_columns):
+        # The family is an up-set: the pairs grown on it are the whole pairs
+        # whose lower end lies in it, and their upper ends lie in it too.
+        whole = tableau._standard_tableaux(n, None)
+        family = tableau._standard_tableaux(n, max_columns)
+        index = {t: i for i, t in enumerate(family)}
+        want = {(index[whole[a]], index[whole[b]]) for a, b in orders._duflo_edges(n, None)
+                if whole[a] in index}
+        assert orders._duflo_edges(n, max_columns) == want
+
+    def test_pair_leaving_by_its_upper_end_raises(self, monkeypatch):
+        # Send every insertion into the upper end b of a pair (a, b) of size 3
+        # out of the family: rank 4 into a stays in it, so a pair of size 4
+        # would leave by its upper end alone, which the up-set forbids.
+        up_table, (_, b) = orders._up_table, min(orders._duflo_edges(3, 2))
+
+        def broken(n, max_columns):
+            up = up_table(n, max_columns)
+            up[3][b] = (-1,) * 4
+            return up
+
+        monkeypatch.setattr(orders, "_up_table", broken)
+        with pytest.raises(RuntimeError, match=r"^a Duflo pair of size 4 leaves the family "
+                                               r"by its upper end$"):
+            orders._duflo_poset.__wrapped__(4, 2)
 
     @pytest.mark.parametrize("n", range(1, 7))
     def test_edges_are_the_word_covers(self, n):
@@ -515,7 +573,7 @@ class TestDufloPoset:
                 if e[a] < e[a + 1]:
                     swapped = e[:a] + (e[a + 1], e[a]) + e[a + 2:]
                     covers.add((index[rs_tableau(e)], index[rs_tableau(swapped)]))
-        assert orders._duflo_edges(n) == {(a, b) for a, b in covers if a != b}
+        assert orders._duflo_edges(n, None) == {(a, b) for a, b in covers if a != b}
 
     @pytest.mark.parametrize("n", range(1, 7))
     def test_is_partial_order(self, n):
@@ -544,20 +602,27 @@ class TestDufloPoset:
         assert digest == "b420425407f26fd476d5fea04dee3122e1385787a4dc68b8249b10c922d7943a"
         digest = hashlib.sha256(poset_to_dot(p).encode()).hexdigest()
         assert digest == "3df2aa8048396aabdbd049d1d82fa943fcdffc8bb1eac591d839b2edb63204a1"
+        # The two-column exports, grown on the family, as cut out of the whole poset.
+        family = duflo_poset(9, limit=9, max_columns=2)
+        digest = hashlib.sha256(poset_to_json(family).encode()).hexdigest()
+        assert digest == "7b22eb6d69129f1b9fc90fddf101d47f2b80a2065a61f2771b5d82b294d1f217"
+        digest = hashlib.sha256(poset_to_dot(family).encode()).hexdigest()
+        assert digest == "ee3d03654bb7b12f335acd42bf70810bcea0f8a02cc85e9d693c70cf31e8b17b"
 
     def test_cyclic_base_names_its_tableaux(self, monkeypatch):
         # The reverse of the pair (1 2 3, 1 2; 3): a 2-cycle.
         edges = orders._duflo_edges
-        monkeypatch.setattr(orders, "_duflo_edges", lambda n: edges(n) | {(1, 0)})
+        monkeypatch.setattr(orders, "_duflo_edges",
+                            lambda n, max_columns: edges(n, max_columns) | {(1, 0)})
         with pytest.raises(RuntimeError, match=r"induced order \(1 2 3 / 1 2; 3\)"):
             orders._duflo_poset.__wrapped__(3)
 
     def test_cycle_in_induced_order_names_its_tableaux(self, monkeypatch):
         # 0 -> 2 -> 1 -> 0 with the pair (0, 1) dropped: a 3-cycle, no
         # 2-cycle, and the named nodes are related only through the closure.
-        pairs = orders._duflo_edges(3) - {(0, 1)} | {(2, 1), (1, 0)}
+        pairs = orders._duflo_edges(3, None) - {(0, 1)} | {(2, 1), (1, 0)}
         assert not any((b, a) in pairs for a, b in pairs if a != b)
-        monkeypatch.setattr(orders, "_duflo_edges", lambda n: pairs)
+        monkeypatch.setattr(orders, "_duflo_edges", lambda n, max_columns: pairs)
         with pytest.raises(RuntimeError, match=r"induced order \(1 2 3 / 1 2; 3\)"):
             orders._duflo_poset.__wrapped__(3)
 
@@ -585,7 +650,8 @@ class TestDufloPoset:
         def trace(frame, event, arg):
             return count_lines if frame.f_code in closure_code else None
 
-        monkeypatch.setattr(orders, "_duflo_edges", lambda n: Spy(edges(n)))
+        monkeypatch.setattr(orders, "_duflo_edges",
+                            lambda n, max_columns: Spy(edges(n, max_columns)))
         before = sys.gettrace()
         sys.settrace(trace)
         try:
@@ -601,7 +667,7 @@ class TestDufloPoset:
     def test_longest_pair_path(self, n, nodes):
         # The closure's recursion depth is at most this path's node count.
         succ = collections.defaultdict(list)
-        for a, b in orders._duflo_edges(n):
+        for a, b in orders._duflo_edges(n, None):
             if a != b:
                 succ[a].append(b)
 
@@ -917,8 +983,8 @@ class TestFinishingLayerOracles:
 
         monkeypatch.setattr(orders, "sorted", spy, raising=False)
         duflo, chain = orders._duflo_poset.__wrapped__(n), orders._chain_poset.__wrapped__(n)
-        diagrams = [sub.hasse for poset in (duflo, chain)
-                    for sub in (poset, poset.restrict(lambda t: len(t.columns) <= 2))]
+        diagrams = [poset.hasse for poset in (duflo, chain, orders._duflo_poset.__wrapped__(n, 2),
+                                              orders._chain_poset.__wrapped__(n, 2))]
         assert calls == [] and len(diagrams) == 4
         assert duflo.hasse == duflo_poset(n, limit=n).hasse
         assert chain.hasse == chain_poset(n, limit=n).hasse
@@ -956,11 +1022,32 @@ class TestRestriction:
     @pytest.mark.parametrize("n", range(2, 7))
     def test_two_column_restriction_preserves_relation(self, n):
         full = duflo_poset(n)
-        sub = full.restrict(lambda t: len(t.columns) <= 2)
+        sub = duflo_poset(n, max_columns=2)
         assert all(len(t.columns) <= 2 for t in sub.nodes)
         for t in sub.nodes:
             for s in sub.nodes:
                 assert sub.leq(t, s) == full.leq(t, s)
+
+    @pytest.mark.parametrize("n", range(10))
+    @pytest.mark.parametrize("max_columns", (1, 2, 3))
+    def test_family_builds_equal_the_restricted_oracle(self, n, max_columns):
+        # Grown on the family alone, each order is the whole one cut down to
+        # it: the same nodes in the same order, the same rows, the same Hasse
+        # diagram; a family Duflo poset carries no base relation.
+        for build in (duflo_poset, chain_poset):
+            family = build(n, limit=9, max_columns=max_columns)
+            oracle = restricted(build(n, limit=9), max_columns)
+            assert (family.kind, family.n) == (oracle.kind, oracle.n)
+            assert family.nodes == oracle.nodes == tuple(all_tableaux(n, max_columns))
+            assert family.leq_rows == oracle.leq_rows
+            assert family.hasse == oracle.hasse
+            assert family.base_rows is None or max_columns >= n
+
+    @pytest.mark.parametrize("build", (duflo_poset, chain_poset))
+    def test_column_bound_below_one_is_rejected(self, build):
+        for bad in (0, -1):
+            with pytest.raises(LimitError, match=rf"^max_columns must be at least 1, got {bad}$"):
+                build(3, max_columns=bad)
 
 
 class TestDerivedHasse:
@@ -969,14 +1056,14 @@ class TestDerivedHasse:
 
     @pytest.mark.parametrize("n", range(1, 9))
     def test_hasse_is_the_reduced_relation_read_once(self, n):
-        for full in (duflo_poset(n), chain_poset(n)):
-            for poset in (full, full.restrict(lambda t: len(t.columns) <= 2)):
+        for build in (duflo_poset, chain_poset):
+            for poset in (build(n), build(n, max_columns=2)):
                 first = poset.hasse
                 assert list(first) == hasse_reduce(poset.leq_rows)
                 assert poset.hasse is first
 
     def test_hasse_cannot_be_assigned(self):
-        poset = duflo_poset(4).restrict(lambda t: len(t.columns) <= 2)
+        poset = duflo_poset(4, max_columns=2)
         for _ in range(2):
             with pytest.raises(dataclasses.FrozenInstanceError):
                 poset.hasse = ()

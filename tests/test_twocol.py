@@ -1,6 +1,6 @@
 import pytest
 
-from conftest import all_tableaux, brute_inversions, two_column
+from conftest import all_tableaux, brute_inversions, restricted, two_column
 from tableaux import (
     InvalidTableauError,
     Tableau,
@@ -395,7 +395,7 @@ class TestCover:
 
     @pytest.mark.parametrize("n", range(1, 8))
     def test_matches_poset_cover(self, n):
-        poset = duflo_poset(n).restrict(lambda t: len(t.columns) <= 2)
+        poset = restricted(duflo_poset(n), 2)
         for t in poset.nodes:
             assert cover(t) == sorted(poset.cover_of(t), key=row_text)
 
